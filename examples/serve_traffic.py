@@ -75,8 +75,8 @@ async def main() -> None:
     coal = stats["coalescing"]
     print(f"  mean coalesced batch: {coal['mean_batch_requests']:.1f} requests, "
           f"{coal['mean_batch_keys']:.1f} keys")
-    batch_p95 = stats["latency_us"]["BATCH"]["p95"]
-    print(f"  batched-request p95 latency: {batch_p95:.0f} us")
+    query_p95 = stats["latency_us"]["BULK64_QUERY"]["p95"]
+    print(f"  query-request p95 latency: {query_p95:.0f} us")
     print(f"  per-shard inserts: "
           f"{[s['inserts'] for s in stats['filter']['shards']]}")
     print(f"snapshot: {report['bytes']} bytes -> {report['path']}")

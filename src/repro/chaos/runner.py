@@ -55,7 +55,7 @@ from repro.chaos.storage import FaultyStorage
 from repro.cluster.node import build_node_server, recover_node
 from repro.errors import ReproError
 from repro.filters.factory import FilterSpec, build_filter
-from repro.service.client import AsyncFilterClient
+from repro.service.client import AsyncFilterClient, wire_keys
 from repro.service.protocol import Opcode, ProtocolError, RemoteError
 from repro.service.snapshot import _split_trailer, snapshot_bytes
 
@@ -91,8 +91,6 @@ _ORACLE_SPEC = FilterSpec(
     extra={**_SPEC.extra, "kernel": "scalar"},
 )
 
-_INSERT_OPS = (Opcode.INSERT, Opcode.BULK64_INSERT)
-
 
 def _payload(filt) -> bytes:
     """Serialised filter state with the integrity trailer stripped."""
@@ -127,11 +125,11 @@ class ChaosRunner:
         self.fault_rng = random.Random(f"{schedule.seed}:faults")
         self.violations: list[str] = []
         self.counters: collections.Counter = collections.Counter()
-        #: Acked mutation multiset: (kind, key bytes) → count.
+        #: Acked mutation multiset: (kind, wire key) → count.
         self.acked: collections.Counter = collections.Counter()
         #: Durable WAL record multiset, same keying, from oracle folds.
         self.wal_records: collections.Counter = collections.Counter()
-        #: Folded truth: key bytes → net count after error-skipping replay.
+        #: Folded truth: wire key → net count after error-skipping replay.
         self.true_counts: collections.Counter = collections.Counter()
         self.oracle = build_filter(_ORACLE_SPEC)
         self.oracle_seq = 0
@@ -330,38 +328,36 @@ class ChaosRunner:
             self.counters["indeterminate"] += 1
             return
         self.counters["acked"] += 1
-        self.acked[(kind, key.encode("utf-8"))] += 1
+        self.acked[(kind, int(wire_keys([key])[0]))] += 1
 
     # -- oracle ------------------------------------------------------------
     def _fold_oracle(self, through_seq: int) -> None:
         """Apply newly-durable primary WAL records to the oracle.
 
-        Mirrors :func:`repro.cluster.node.recover_node` replay semantics:
-        per-record :class:`ReproError` failures are skipped (the live
-        apply hit the same error against the same state).
+        Written independently of the replay code under test, to the
+        same semantics: a record whose bulk apply raises
+        :class:`ReproError` is skipped whole (the live apply hit the
+        same error against the same state).  The runner's client only
+        writes ``BULK64_INSERT``/``BULK64_DELETE`` records.
         """
         wal = self.nodes[0].server.wal
         for record in wal.replay(start_seq=self.oracle_seq + 1):
             if record.seq > through_seq:
                 break
-            insert_like = record.op in _INSERT_OPS
-            keys = record.keys
-            if not isinstance(keys, np.ndarray):
-                keys = list(keys)
+            insert_like = record.op == Opcode.BULK64_INSERT
             try:
                 if insert_like:
-                    self.oracle.insert_many(keys)
+                    self.oracle.insert_many(record.keys)
                 else:
-                    self.oracle.delete_many(keys)
+                    self.oracle.delete_many(record.keys)
                 applied = True
             except ReproError:
                 applied = False
             kind = "insert" if insert_like else "delete"
-            for key in record.keys:
-                if isinstance(key, bytes):
-                    self.wal_records[(kind, key)] += 1
-                    if applied:
-                        self.true_counts[key] += 1 if insert_like else -1
+            for key in record.keys.tolist():
+                self.wal_records[(kind, key)] += 1
+                if applied:
+                    self.true_counts[key] += 1 if insert_like else -1
             self.oracle_seq = record.seq
         self.oracle_seq = max(self.oracle_seq, through_seq)
 
@@ -429,19 +425,20 @@ class ChaosRunner:
             durable = self.wal_records[(kind, key)]
             if durable < count:
                 self.violations.append(
-                    f"acked loss: {count} acked {kind}({key!r}) but only "
-                    f"{durable} durable WAL records"
+                    f"acked loss: {count} acked {kind}({key:#018x}) but "
+                    f"only {durable} durable WAL records"
                 )
         # 2. Membership: no false negatives against the folded truth.
         primary = self.nodes[0]
-        for key, count in sorted(self.true_counts.items()):
-            if count <= 0:
-                continue
-            for node in self.nodes:
-                if not node.server.filter.query(key):
+        live = sorted(k for k, count in self.true_counts.items() if count > 0)
+        column = np.array(live, dtype=np.uint64)
+        for node in self.nodes:
+            answers = node.server.filter.query_many(column) if live else ()
+            for key, hit in zip(live, answers):
+                if not hit:
                     self.violations.append(
-                        f"false negative on {node.name}: {key!r} has net "
-                        f"count {count} but queries False"
+                        f"false negative on {node.name}: {key:#018x} has "
+                        f"net count {self.true_counts[key]} but queries False"
                     )
         # 3. Byte-identity: primary state == oracle fold of its own WAL.
         primary_payload = _payload(primary.server.filter)

@@ -19,7 +19,10 @@ coordinator bumps the epoch, and zero lost acknowledged writes.
 The surface mirrors :class:`~repro.service.client.FilterClient`
 (``insert_many`` / ``query_many`` / ``delete_many`` / single-key
 helpers), plus :meth:`status` for a cluster-wide health/replication
-report — what ``repro cluster status`` prints.
+report — what ``repro cluster status`` prints.  Keys are encoded to
+their wire form (:func:`~repro.service.client.wire_keys`) once, up
+front, so a key lands on the same group whether it was written here,
+through the router daemon, or by a plain client of either.
 """
 
 from __future__ import annotations
@@ -33,19 +36,13 @@ from repro.cluster.router import (
     ShardGroup,
     parse_group,
 )
+import numpy as np
+
 from repro.errors import ClusterError, OverloadedError
-from repro.service.client import _jittered_delay
+from repro.service.client import _jittered_delay, wire_keys
 from repro.service.protocol import ErrorCode, RemoteError
 
 __all__ = ["ClusterClient"]
-
-
-def _to_bytes(key) -> bytes:
-    if isinstance(key, bytes):
-        return key
-    if isinstance(key, str):
-        return key.encode("utf-8")
-    raise TypeError(f"cluster keys must be str or bytes, got {type(key).__name__}")
 
 
 class ClusterClient:
@@ -178,22 +175,19 @@ class ClusterClient:
         self.delete_many([key])
 
     def query(self, key) -> bool:
-        return self.query_many([key])[0]
+        return bool(self.query_many([key])[0])
 
     def insert_many(self, keys) -> None:
-        payload = [_to_bytes(k) for k in keys]
-        self._with_retry(lambda: self._backend.insert_many(payload))
+        column = wire_keys(keys)
+        self._with_retry(lambda: self._backend.insert_many(column))
 
     def delete_many(self, keys) -> None:
-        payload = [_to_bytes(k) for k in keys]
-        self._with_retry(lambda: self._backend.delete_many(payload))
+        column = wire_keys(keys)
+        self._with_retry(lambda: self._backend.delete_many(column))
 
-    def query_many(self, keys) -> list[bool]:
-        payload = [_to_bytes(k) for k in keys]
-        answers = self._with_retry(
-            lambda: self._backend.query_many(payload)
-        )
-        return [bool(answer) for answer in answers]
+    def query_many(self, keys) -> np.ndarray:
+        column = wire_keys(keys)
+        return self._with_retry(lambda: self._backend.query_many(column))
 
     def status(self) -> dict:
         """Topology, health, and per-node replication state."""

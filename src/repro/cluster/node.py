@@ -3,12 +3,12 @@
 A cluster node's durable state is ``snapshot + WAL tail``:
 
 1. :func:`recover_node` loads the latest snapshot (if any), reads the
-   WAL sequence it covers from the snapshot's own ``MPCS`` trailer
-   (falling back to the legacy ``<path>.meta`` JSON sidecar older dumps
-   used), and replays every later WAL record onto the filter.  After a
-   crash — even a ``kill -9`` mid-batch — this reconstructs exactly the
-   state whose records reached stable storage under the configured
-   fsync policy.
+   WAL sequence it covers from the snapshot's own ``MPCS`` trailer, and
+   replays every later WAL record onto the filter with
+   :func:`~repro.service.batching.apply_record` — the rule replicas
+   apply the replication stream with.  After a crash — even a
+   ``kill -9`` mid-batch — this reconstructs exactly the state whose
+   records reached stable storage under the configured fsync policy.
 2. :class:`WalSnapshotManager` extends the daemon's snapshot loop with
    log compaction: each dump embeds the WAL sequence it covers (in the
    snapshot trailer, so state + sequence publish in one atomic rename)
@@ -31,19 +31,15 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import signal
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.cluster.replication import ReplicationManager
 from repro.cluster.wal import FsyncPolicy, WriteAheadLog
-from repro.errors import ReproError
 from repro.observability.logging import get_logger
 from repro.rebalance.migrator import RebalanceState
-from repro.service.protocol import Opcode
+from repro.service.batching import apply_record
 from repro.service.server import FilterServer, build_admission
 from repro.service.snapshot import (
     SnapshotManager,
@@ -61,21 +57,6 @@ __all__ = [
 ]
 
 logger = get_logger("cluster.node")
-
-
-def _read_legacy_sidecar_seq(snapshot_path: str | Path) -> int:
-    """WAL sequence from the old ``<path>.meta`` sidecar (0 when absent).
-
-    Dumps written before the sequence moved into the snapshot trailer
-    recorded it here; kept read-only so those nodes recover correctly.
-    """
-    try:
-        meta = json.loads(
-            Path(str(snapshot_path) + ".meta").read_text("utf-8")
-        )
-    except (FileNotFoundError, ValueError):
-        return 0
-    return int(meta.get("wal_seq", 0))
 
 
 class WalSnapshotManager(SnapshotManager):
@@ -150,8 +131,8 @@ def recover_node(
 
     ``build`` is a zero-arg callable producing a fresh (empty) filter —
     used when no snapshot exists yet.  When ``snapshot_path`` exists,
-    the filter restores from it and replay starts at the sequence its
-    sidecar records; otherwise replay covers the whole retained log.
+    the filter restores from it and replay starts after the sequence its
+    trailer records; otherwise replay covers the whole retained log.
     ``storage`` (optional :class:`~repro.service.storage.Storage`) is
     handed to the node's WAL — the chaos harness injects its
     fault-tracking storage here.
@@ -161,12 +142,7 @@ def recover_node(
     if snapshot_path is not None and Path(snapshot_path).exists():
         data = Path(snapshot_path).read_bytes()
         filt = load_snapshot_bytes(data, source=str(snapshot_path))
-        embedded_seq = snapshot_wal_seq(data)
-        snapshot_seq = (
-            embedded_seq
-            if embedded_seq is not None
-            else _read_legacy_sidecar_seq(snapshot_path)
-        )
+        snapshot_seq = snapshot_wal_seq(data) or 0
     if filt is None:
         filt = build()
     wal = WriteAheadLog(
@@ -181,48 +157,10 @@ def recover_node(
         wal.reset_to(snapshot_seq)
     replayed = 0
     errors = 0
-    mig_ops = (
-        Opcode.MIG_INSERT,
-        Opcode.MIG_DELETE,
-        Opcode.MIG_INSERT64,
-        Opcode.MIG_DELETE64,
-    )
     for record in wal.replay(start_seq=snapshot_seq + 1):
-        if record.op in mig_ops:
-            # Migration records: keys[0] is the plan header, the real
-            # keys applied one at a time — replay skips exactly the
-            # per-key errors the live apply skipped.  The *64 flavours
-            # carry 8-byte LE packings of pre-encoded u64 keys, applied
-            # as columns so they are never re-hashed.
-            packed = record.op in (Opcode.MIG_INSERT64, Opcode.MIG_DELETE64)
-            insert_like = record.op in (
-                Opcode.MIG_INSERT, Opcode.MIG_INSERT64
-            )
-            for key in list(record.keys)[1:]:
-                column = (
-                    np.frombuffer(key, dtype="<u8") if packed else [key]
-                )
-                try:
-                    if insert_like:
-                        filt.insert_many(column)
-                    else:
-                        filt.delete_many(column)
-                except ReproError:
-                    errors += 1
-            replayed += 1
-            continue
-        keys = record.keys
-        if not isinstance(keys, np.ndarray):
-            keys = list(keys)
-        try:
-            if record.op in (Opcode.INSERT, Opcode.BULK64_INSERT):
-                filt.insert_many(keys)
-            else:
-                filt.delete_many(keys)
-        except ReproError:
-            # The primary logged this mutation and then hit the same
-            # error against the same state; skipping reproduces it.
-            errors += 1
+        # The primary logs a mutation before applying it; replaying the
+        # same records against the same state skips the same failures.
+        errors += apply_record(filt, record)
         replayed += 1
     if replayed or snapshot_seq:
         logger.info(

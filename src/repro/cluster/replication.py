@@ -46,8 +46,8 @@ from repro.service.protocol import (
     ProtocolError,
     decode_ack_body,
     encode_frame,
+    encode_record,
     encode_repl_snapshot_body,
-    encode_replicate_body,
     read_frame,
 )
 
@@ -404,14 +404,7 @@ class ReplicationManager:
                     await asyncio.sleep(0.001)
                 continue
             for record in records:
-                writer.write(
-                    encode_frame(
-                        Opcode.REPLICATE,
-                        encode_replicate_body(
-                            record.seq, record.op, record.keys
-                        ),
-                    )
-                )
+                writer.write(encode_frame(Opcode.REPLICATE, encode_record(record)))
             await writer.drain()
             for record in records:
                 acked = await self._read_ack(reader)

@@ -11,8 +11,12 @@ Topology: the unit of placement is a :class:`ShardGroup` — a primary
 plus its replicas, replicating via :mod:`repro.cluster.replication`.
 Groups own ranges of a :class:`HashRing`: each group hashes to
 ``vnodes`` pseudo-random points on a 64-bit circle (BLAKE2b of
-``"name#i"``), and a key belongs to the group owning the first point at
-or after the key's own hash.  Virtual nodes smooth the load (with one
+``"name#i"``), and a key belongs to the group owning the first point
+after the key's own position: :func:`hash_key`, the BLAKE2b hash of
+the key's u64 wire form (see :mod:`repro.service.protocol`).  Every
+surface — router daemon, :class:`~repro.cluster.cluster_client.
+ClusterClient`, node gates, migration streams — places a key by that
+one rule.  Virtual nodes smooth the load (with one
 point per group, a 2-group ring can split 90/10); adding a group moves
 only ``~1/groups`` of the keys.
 
@@ -61,12 +65,13 @@ from repro.memmodel.accounting import AccessStats, OpKind
 from repro.observability.logging import get_logger
 from repro.overload import CircuitBreaker
 from repro.service.client import FilterClient
-from repro.service.protocol import ErrorCode, RemoteError
+from repro.service.protocol import ErrorCode, Opcode, RemoteError
 
 __all__ = [
     "NodeAddress",
     "ShardGroup",
     "HashRing",
+    "hash_key",
     "HealthChecker",
     "RouterBackend",
     "parse_node",
@@ -136,10 +141,17 @@ def parse_group(spec: str) -> ShardGroup:
     return ShardGroup(name=name, primary=nodes[0], replicas=tuple(nodes[1:]))
 
 
+_U64 = struct.Struct("<Q")
+
+
 def _hash64(data: bytes) -> int:
-    return struct.unpack(
-        "<Q", hashlib.blake2b(data, digest_size=8).digest()
-    )[0]
+    return _U64.unpack(hashlib.blake2b(data, digest_size=8).digest())[0]
+
+
+def hash_key(key: int) -> int:
+    """A wire key's 64-bit ring position: BLAKE2b of its 8-byte
+    little-endian packing."""
+    return _hash64(_U64.pack(key))
 
 
 class HashRing:
@@ -174,17 +186,9 @@ class HashRing:
         self._points = [point for point, _ in points]
         self._owners = [owner for _, owner in points]
 
-    def lookup(self, key) -> ShardGroup:
-        """The group owning ``key``'s position on the ring.
-
-        Byte keys hash directly; pre-encoded ``uint64`` keys (the
-        columnar fastpath) hash as their 8-byte little-endian packing —
-        the same position rule :func:`repro.rebalance.epochs.hash_key`
-        uses, so routers and node gates always agree.
-        """
-        if not isinstance(key, (bytes, bytearray, memoryview)):
-            key = struct.pack("<Q", int(key))
-        return self.groups[self.owner_at(_hash64(bytes(key)))]
+    def lookup(self, key: int) -> ShardGroup:
+        """The group owning wire key ``key`` (at :func:`hash_key`)."""
+        return self.groups[self.owner_at(hash_key(key))]
 
     def owner_at(self, position: int) -> str:
         """Name of the group owning ring ``position`` (a 64-bit hash).
@@ -209,12 +213,15 @@ class HashRing:
         """All vnode positions, sorted ascending."""
         return list(self._points)
 
-    def partition(self, keys) -> dict[str, list[int]]:
-        """Split ``keys`` into per-group lists of key *indices*."""
+    def partition(self, keys: np.ndarray) -> dict[str, np.ndarray]:
+        """Split a wire-key column into per-group arrays of key *indices*."""
         parts: dict[str, list[int]] = {}
-        for index, key in enumerate(keys):
+        for index, key in enumerate(keys.tolist()):
             parts.setdefault(self.lookup(key).name, []).append(index)
-        return parts
+        return {
+            name: np.asarray(indices, dtype=np.intp)
+            for name, indices in parts.items()
+        }
 
     def vnode_counts(self) -> dict[str, int]:
         counts: Counter[str] = Counter(self._owners)
@@ -360,7 +367,8 @@ class RouterBackend:
 
     Implements exactly the interface
     :class:`~repro.service.batching.FilterExecutor` drives
-    (``insert_many`` / ``query_many`` / ``delete_many``), so a stock
+    (``insert_many`` / ``query_many`` / ``delete_many`` over wire-key
+    columns, which it forwards as they arrived), so a stock
     :class:`~repro.service.server.FilterServer` can host it: client
     requests coalesce in the server's micro-batcher, then each bulk
     call here partitions the batch by ring position and plays one
@@ -481,7 +489,6 @@ class RouterBackend:
         already holds the epoch that explains where the key went.
         """
         from repro.rebalance.epochs import RingEpoch
-        from repro.service.protocol import Opcode
 
         best: RingEpoch | None = None
         best_blob = b""
@@ -509,22 +516,18 @@ class RouterBackend:
         return True
 
     # -- filter interface ------------------------------------------------
-    def insert_many(self, keys) -> None:
-        self._mutate("insert", keys)
+    def insert_many(self, keys: np.ndarray) -> None:
+        self._mutate(Opcode.BULK64_INSERT, keys)
 
-    def delete_many(self, keys) -> None:
-        self._mutate("delete", keys)
+    def delete_many(self, keys: np.ndarray) -> None:
+        self._mutate(Opcode.BULK64_DELETE, keys)
 
-    def query_many(self, keys) -> np.ndarray:
-        columnar = isinstance(keys, np.ndarray)
-        if not columnar:
-            keys = list(keys)
+    def query_many(self, keys: np.ndarray) -> np.ndarray:
         self._account(OpKind.QUERY, len(keys))
         answers = np.zeros(len(keys), dtype=bool)
-        for group_name, indices in self.ring.partition(keys).items():
-            self.routed_keys[(group_name, "query")] += len(indices)
-            where = np.asarray(indices, dtype=np.intp)
-            subset = keys[where] if columnar else [keys[i] for i in indices]
+        for group_name, where in self.ring.partition(keys).items():
+            self.routed_keys[(group_name, "query")] += len(where)
+            subset = keys[where]
             try:
                 result = self._query_group(self._groups[group_name], subset)
             except RemoteError as exc:
@@ -533,7 +536,7 @@ class RouterBackend:
                 if exc.code != ErrorCode.MOVED or not self.refresh_epoch():
                     raise
                 result = self.query_many(subset)
-            answers[where] = np.asarray(result, dtype=bool)
+            answers[where] = result
         return answers
 
     # -- routing ---------------------------------------------------------
@@ -544,19 +547,13 @@ class RouterBackend:
                 hash_bits=64.0 * count, hash_calls=count,
             )
 
-    def _mutate(self, kind: str, keys) -> None:
-        columnar = isinstance(keys, np.ndarray)
-        if not columnar:
-            keys = list(keys)
-        self._account(
-            OpKind.INSERT if kind == "insert" else OpKind.DELETE, len(keys)
-        )
-        for group_name, indices in self.ring.partition(keys).items():
-            self.routed_keys[(group_name, kind)] += len(indices)
-            if columnar:
-                subset = keys[np.asarray(indices, dtype=np.intp)]
-            else:
-                subset = [keys[i] for i in indices]
+    def _mutate(self, opcode: Opcode, keys: np.ndarray) -> None:
+        insert = opcode == Opcode.BULK64_INSERT
+        kind = "insert" if insert else "delete"
+        self._account(OpKind.INSERT if insert else OpKind.DELETE, len(keys))
+        for group_name, where in self.ring.partition(keys).items():
+            self.routed_keys[(group_name, kind)] += len(where)
+            subset = keys[where]
             clients = self._groups[group_name]
             primary = clients.group.primary
             if self.health is not None and not self.health.is_healthy(primary):
@@ -571,18 +568,7 @@ class RouterBackend:
                 breaker.allow()
             try:
                 client = clients.client(primary, timeout_s=self.timeout_s)
-                if columnar:
-                    # Forward pre-encoded keys over the bulk64 fastpath;
-                    # a node without bulk64 support fails loudly rather
-                    # than silently re-hashing the u64 column.
-                    if kind == "insert":
-                        client.insert_many64(subset)
-                    else:
-                        client.delete_many64(subset)
-                elif kind == "insert":
-                    client.insert_many(subset)
-                else:
-                    client.delete_many(subset)
+                client.send_column(opcode, subset)
             except RemoteError as exc:
                 if breaker is not None:
                     if exc.code == ErrorCode.OVERLOADED:
@@ -593,7 +579,7 @@ class RouterBackend:
                 # (WRONG_EPOCH — a fence mid-migration — is forwarded:
                 # the client owns that retry, with backoff.)
                 if exc.code == ErrorCode.MOVED and self.refresh_epoch():
-                    self._mutate(kind, subset)
+                    self._mutate(opcode, subset)
                     continue
                 raise  # the filter's own error (e.g. underflow): forward
             except (ConnectionError, OSError, TimeoutError) as exc:
@@ -608,9 +594,8 @@ class RouterBackend:
                 if breaker is not None:
                     breaker.record_success()
 
-    def _query_group(self, clients: _GroupClients, subset):
+    def _query_group(self, clients: _GroupClients, subset: np.ndarray):
         group = clients.group
-        columnar = isinstance(subset, np.ndarray)
         candidates = [
             node
             for node in group.nodes
@@ -621,11 +606,7 @@ class RouterBackend:
         for position, node in enumerate(candidates):
             try:
                 client = clients.client(node, timeout_s=self.timeout_s)
-                result = (
-                    client.query_many64(subset)
-                    if columnar
-                    else client.query_many(subset)
-                )
+                result = client.send_column(Opcode.BULK64_QUERY, subset)
                 if position > 0 or node is not group.primary:
                     self.fallback_reads += len(subset)
                     if shed_by_primary:

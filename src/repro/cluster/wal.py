@@ -1,7 +1,7 @@
 """Append-only write-ahead log of filter mutations.
 
-Durability for the serving daemon between snapshots: every INSERT /
-DELETE request appends one record *before* it is applied to the filter,
+Durability for the serving daemon between snapshots: every insert /
+delete request appends one record *before* it is applied to the filter,
 so after a crash the state is reconstructed as ``snapshot + replay``.
 The same records double as the replication stream a primary ships to
 its replicas (:mod:`repro.cluster.replication`).
@@ -12,17 +12,14 @@ On-disk layout — a directory of segment files, rotated by size::
     wal-00000000000000004097.seg     records with seq >= 4097 (current)
 
     record  := u32 crc32(payload) | u32 len(payload) | payload
-    payload := u64 seq | u8 op | u32 count | count x (u16 len | key)
-    columnar payload (BULK64_* ops) := u64 seq | u8 op | u32 count |
-                                       count x u64 key
+    payload := u64 seq | u8 op | u16 header_len | header |
+               u32 count | count x u64 key
 
-All integers little-endian; the key encoding matches the wire
-protocol's BATCH body, so a record's tail can be framed into a
-REPLICATE body without re-encoding.  Columnar records (the bulk64
-fastpath) store their pre-encoded ``uint64`` keys as a packed column —
-written with one buffer copy, decoded with a zero-copy ``frombuffer``
-view — while the legacy reader continues to handle every byte-key
-record in the same log.  ``seq`` is a contiguous,
+All integers little-endian.  ``payload`` is the wire protocol's record
+codec (:func:`repro.service.protocol.encode_record`), so a WAL record is
+byte-for-byte the body of the ``REPLICATE`` frame that ships it.  Keys
+are pre-encoded ``uint64`` wire keys, written with one buffer copy and
+decoded with a zero-copy ``frombuffer`` view.  ``seq`` is a contiguous,
 monotonically increasing 1-based sequence number; the primary assigns
 it and replicas preserve it, which is what makes "catch up from offset
 ``n``" well defined cluster-wide.
@@ -53,10 +50,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-import numpy as np
-
 from repro.errors import ConfigurationError, WalCorruptionError
-from repro.service.protocol import COLUMNAR_RECORD_OPS, RECORD_OPS, Opcode
+from repro.service.protocol import (
+    RECORD_OPS,
+    Opcode,
+    ProtocolError,
+    WalRecord,
+    decode_record,
+    encode_record,
+)
 from repro.service.storage import REAL_STORAGE, Storage
 
 __all__ = [
@@ -67,15 +69,9 @@ __all__ = [
 ]
 
 _RECORD_HEADER = struct.Struct("<II")  # crc32(payload), len(payload)
-_PAYLOAD_PREFIX = struct.Struct("<QBI")  # seq, op, key count
-_KEY_LEN = struct.Struct("<H")
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".seg"
-
-#: Mutations a WAL record may carry (client ops plus migration applies).
-_WAL_OPS = RECORD_OPS
-
 
 class FsyncPolicy(str, enum.Enum):
     """When appended records are forced to stable storage."""
@@ -84,20 +80,6 @@ class FsyncPolicy(str, enum.Enum):
     BATCH = "batch"
     INTERVAL = "interval"
     NEVER = "never"
-
-
-@dataclass(frozen=True)
-class WalRecord:
-    """One durable mutation: ``op`` applied to ``keys`` at ``seq``.
-
-    Legacy records hold ``keys`` as a tuple of byte strings; columnar
-    records (BULK64_* ops) hold a read-only ``uint64`` ndarray of
-    pre-encoded keys.
-    """
-
-    seq: int
-    op: Opcode
-    keys: "tuple[bytes, ...] | np.ndarray"
 
 
 @dataclass
@@ -114,39 +96,11 @@ class WalCursor:
     next_seq: int
 
 
-def _encode_record(seq: int, op: Opcode, keys) -> bytes:
-    if op in COLUMNAR_RECORD_OPS:
-        arr = np.ascontiguousarray(keys, dtype="<u8")
-        payload = _PAYLOAD_PREFIX.pack(seq, op, arr.size) + arr.tobytes()
-    else:
-        parts = [_PAYLOAD_PREFIX.pack(seq, op, len(keys))]
-        for key in keys:
-            parts.append(_KEY_LEN.pack(len(key)))
-            parts.append(key)
-        payload = b"".join(parts)
-    return _RECORD_HEADER.pack(zlib.crc32(payload), len(payload)) + payload
-
-
 def _decode_payload(payload: bytes) -> WalRecord:
-    seq, raw_op, count = _PAYLOAD_PREFIX.unpack_from(payload)
-    op = Opcode(raw_op)
-    if op not in _WAL_OPS:
-        raise ValueError(f"WAL record carries non-mutation op {op.name}")
-    pos = _PAYLOAD_PREFIX.size
-    if op in COLUMNAR_RECORD_OPS:
-        if len(payload) - pos != count * 8:
-            raise ValueError("WAL columnar record length mismatch")
-        column = np.frombuffer(payload, dtype="<u8", count=count, offset=pos)
-        return WalRecord(seq=seq, op=op, keys=column)
-    keys: list[bytes] = []
-    for _ in range(count):
-        (key_len,) = _KEY_LEN.unpack_from(payload, pos)
-        pos += _KEY_LEN.size
-        keys.append(payload[pos : pos + key_len])
-        pos += key_len
-    if pos != len(payload):
-        raise ValueError("trailing bytes after WAL record keys")
-    return WalRecord(seq=seq, op=op, keys=tuple(keys))
+    record, end = decode_record(payload)
+    if end != len(payload):
+        raise ProtocolError("trailing bytes after WAL record keys")
+    return record
 
 
 def _segment_path(directory: Path, first_seq: int) -> Path:
@@ -273,7 +227,7 @@ class WriteAheadLog:
                 break
             try:
                 record = _decode_payload(payload)
-            except (ValueError, struct.error):
+            except ProtocolError:
                 break
             last_seq = record.seq
             valid_end = end
@@ -310,15 +264,19 @@ class WriteAheadLog:
             self._handle.close()
             self._handle = None
 
-    def append(self, op: Opcode, keys, *, seq: int | None = None) -> int:
-        """Write one record; returns its sequence number.
+    def append(
+        self, op: Opcode, keys, *, seq: int | None = None, header: bytes = b""
+    ) -> int:
+        """Write one record of the wire-key column ``keys``; returns its
+        sequence number.
 
         ``seq`` is assigned (``last_seq + 1``) when omitted — the
         primary's path.  Replicas pass the primary's sequence through;
         a record at or below ``last_seq`` is a replayed duplicate and
         is skipped (idempotent re-delivery after reconnect).
+        ``header`` is the migration plan header of ``MIG_*64`` records.
         """
-        if op not in _WAL_OPS:
+        if op not in RECORD_OPS:
             raise ConfigurationError(f"WAL cannot log {Opcode(op).name} records")
         if seq is None:
             seq = self.last_seq + 1
@@ -329,7 +287,8 @@ class WriteAheadLog:
                 f"replication gap: expected seq {self.last_seq + 1}, got {seq}"
             )
         self._ensure_handle()
-        blob = _encode_record(seq, op, keys)
+        payload = encode_record(WalRecord(seq, op, keys, header))
+        blob = _RECORD_HEADER.pack(zlib.crc32(payload), len(payload)) + payload
         offset = self._handle.tell()
         try:
             self._handle.write(blob)
@@ -429,7 +388,7 @@ class WriteAheadLog:
                 raise WalCorruptionError(f"{path}: CRC mismatch mid-log")
             try:
                 record = _decode_payload(payload)
-            except (ValueError, struct.error) as exc:
+            except ProtocolError as exc:
                 if is_tail:
                     return
                 raise WalCorruptionError(f"{path}: malformed record") from exc

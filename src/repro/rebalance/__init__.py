@@ -33,7 +33,6 @@ from repro.rebalance.migrator import (
     RebalanceState,
     decode_mig_header,
     encode_mig_header,
-    mig_record_keys,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "RebalanceState",
     "encode_mig_header",
     "decode_mig_header",
-    "mig_record_keys",
 ]

@@ -34,7 +34,9 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.cluster.router import HashRing, NodeAddress, ShardGroup
+import numpy as np
+
+from repro.cluster.router import HashRing, NodeAddress, ShardGroup, hash_key
 from repro.errors import ClusterError, ConfigurationError
 
 __all__ = [
@@ -51,21 +53,6 @@ __all__ = [
 _EPOCH_MAGIC = b"MPEP"
 _TRAILER = struct.Struct("<4sI")
 _RING_SPACE = 2**64
-
-
-def hash_key(key) -> int:
-    """A key's 64-bit ring position (the router's BLAKE2b point hash).
-
-    Accepts raw ``bytes`` or a pre-encoded ``uint64`` (the columnar
-    fastpath).  An integer hashes as its 8-byte little-endian packing,
-    so a packed migration key (``MIG_*64`` records) and its integer
-    form always agree on ring position.
-    """
-    from repro.cluster.router import _hash64
-
-    if not isinstance(key, (bytes, bytearray, memoryview)):
-        key = struct.pack("<Q", int(key))
-    return _hash64(bytes(key))
 
 
 def _node_to_json(node: NodeAddress) -> list:
@@ -303,8 +290,14 @@ class KeyRangeSet:
     def contains(self, position: int) -> bool:
         return any(r.contains(position) for r in self.ranges)
 
-    def contains_key(self, key: bytes) -> bool:
-        return self.contains(hash_key(key))
+    def select(self, keys: np.ndarray) -> np.ndarray:
+        """The wire keys of ``keys`` whose ring position is in the set."""
+        mask = np.fromiter(
+            (self.contains(hash_key(key)) for key in keys.tolist()),
+            dtype=bool,
+            count=len(keys),
+        )
+        return keys[mask]
 
     def span(self) -> int:
         return sum(r.span() for r in self.ranges)

@@ -27,14 +27,16 @@ errors deterministically, and the acceptance tests pin byte-equality
 for workloads below the error regime — the caveat is documented, not
 hidden.
 
-Migration applies are WAL records too (``MIG_INSERT``/``MIG_DELETE``):
-``keys[0]`` is a header naming the originating plan and source
-sequence, ``keys[1:]`` the real keys.  One record is one CRC unit, so
-the destination's dedup cursor and the apply it covers are atomic
-under crash-recovery, and replicas receive migrated keys through the
-ordinary replication stream.  Source-side excision logs the same
-record shape under ``<plan>:x`` headers, making it resumable: a
-re-driven commit first scans for its own excision markers and skips
+Migration applies are WAL records too (``MIG_INSERT64``/
+``MIG_DELETE64``): the record header names the originating plan and
+source sequence, the column holds the wire keys.  One record is one CRC
+unit, so the destination's dedup cursor and the apply it covers are
+atomic under crash-recovery, and replicas receive migrated keys through
+the ordinary replication stream.  Every migration record applies key
+by key through :func:`~repro.service.batching.apply_record`, on the
+node, its replicas and every replay alike.  Source-side excision logs
+the same record shape under ``<plan>:x`` headers, making it resumable:
+a re-driven commit first scans for its own excision markers and skips
 what already happened.
 """
 
@@ -51,38 +53,35 @@ from repro.errors import (
     ClusterError,
     ConfigurationError,
     MovedError,
-    ReproError,
     WrongEpochError,
 )
 from repro.observability.logging import get_logger
 from repro.observability.spans import spanned
 from repro.rebalance.epochs import KeyRangeSet, RingEpoch, hash_key
-from repro.service.protocol import Opcode, decode_ring_epoch_set, encode_ring_epoch_set
+from repro.service.batching import apply_record
+from repro.service.protocol import (
+    Opcode,
+    WalRecord,
+    decode_ring_epoch_set,
+    encode_ring_epoch_set,
+)
 
 __all__ = [
     "RebalanceState",
     "encode_mig_header",
     "decode_mig_header",
-    "mig_record_keys",
 ]
 
 logger = get_logger("rebalance.migrator")
 
 _SEQ = struct.Struct("<Q")
 #: Mutation opcodes the gate screens (queries are screened separately).
-_MUTATIONS = (Opcode.INSERT, Opcode.DELETE)
-_MIG_OPS = (
-    Opcode.MIG_INSERT,
-    Opcode.MIG_DELETE,
-    Opcode.MIG_INSERT64,
-    Opcode.MIG_DELETE64,
-)
-#: Packed flavours: ``keys[1:]`` are 8-byte LE packings of u64 keys.
-_MIG64_OPS = (Opcode.MIG_INSERT64, Opcode.MIG_DELETE64)
+_MUTATIONS = (Opcode.BULK64_INSERT, Opcode.BULK64_DELETE)
+_MIG_OPS = (Opcode.MIG_INSERT64, Opcode.MIG_DELETE64)
 
 
 def encode_mig_header(src_seq: int, plan: str) -> bytes:
-    """``keys[0]`` of a migration record: source sequence + plan id."""
+    """Header of a migration record: source sequence + plan id."""
     return _SEQ.pack(src_seq) + plan.encode("utf-8")
 
 
@@ -93,29 +92,8 @@ def decode_mig_header(blob: bytes) -> tuple[int, str]:
     return _SEQ.unpack_from(blob)[0], blob[_SEQ.size :].decode("utf-8")
 
 
-def mig_record_keys(record) -> "list[bytes] | np.ndarray":
-    """The real keys of any WAL record (drops a MIG record's header).
-
-    Columnar records (``BULK64_*``) return their u64 column as-is and
-    the packed ``MIG_*64`` flavours decode back to one, so callers
-    filter and re-stream pre-encoded keys without ever re-hashing.
-    """
-    keys = record.keys
-    if isinstance(keys, np.ndarray):
-        return keys
-    keys = list(keys)
-    if record.op in _MIG64_OPS:
-        return np.frombuffer(b"".join(keys[1:]), dtype="<u8")
-    return keys[1:] if record.op in _MIG_OPS else keys
-
-
 def _record_insert_like(op: Opcode) -> bool:
-    return op in (
-        Opcode.INSERT,
-        Opcode.MIG_INSERT,
-        Opcode.BULK64_INSERT,
-        Opcode.MIG_INSERT64,
-    )
+    return op in (Opcode.BULK64_INSERT, Opcode.MIG_INSERT64)
 
 
 def _safe_name(plan: str) -> str:
@@ -267,6 +245,7 @@ class RebalanceState:
         if self.epoch is None or self.group is None:
             return
         ring = self.epoch.ring()
+        keys = keys.tolist()
         if op not in _MUTATIONS:
             for key in keys:
                 if ring.owner_at(hash_key(key)) != self.group:
@@ -348,10 +327,8 @@ class RebalanceState:
         Returns ``(scanned_through, last_seq, records)`` where
         ``scanned_through`` advances over *examined* records (matching
         or not) so the coordinator's watermark always makes progress,
-        and each record is ``(seq, op, in-range keys)`` — op
-        ``INSERT``/``DELETE`` with byte keys for legacy history,
-        ``BULK64_INSERT``/``BULK64_DELETE`` with a u64 column for
-        columnar history (streamed pre-encoded, never re-hashed).
+        and each record is a :class:`~repro.service.protocol.WalRecord`
+        ``(seq, BULK64_INSERT | BULK64_DELETE, in-range wire keys)``.
         """
         session = self._session_out(plan)
         if start_seq == session._cursor_next and session._cursor is not None:
@@ -366,25 +343,15 @@ class RebalanceState:
         scanned_through = start_seq - 1
         for record in raw:
             scanned_through = record.seq
-            all_keys = mig_record_keys(record)
-            keys = [
-                key
-                for key in all_keys
-                if session.ranges.contains(hash_key(key))
-            ]
-            if not keys:
+            keys = session.ranges.select(record.keys)
+            if not len(keys):
                 continue
-            insert_like = _record_insert_like(record.op)
-            if isinstance(all_keys, np.ndarray):
-                keys = np.asarray(keys, dtype=np.uint64)
-                op = (
-                    Opcode.BULK64_INSERT
-                    if insert_like
-                    else Opcode.BULK64_DELETE
-                )
-            else:
-                op = Opcode.INSERT if insert_like else Opcode.DELETE
-            records.append((record.seq, op, keys))
+            op = (
+                Opcode.BULK64_INSERT
+                if _record_insert_like(record.op)
+                else Opcode.BULK64_DELETE
+            )
+            records.append(WalRecord(seq=record.seq, op=op, keys=keys))
             session.records_streamed += 1
             session.keys_streamed += len(keys)
             self.counters["records_streamed"] += 1
@@ -478,7 +445,7 @@ class RebalanceState:
         done_through = 0
         for record in self.wal.replay():
             if record.op in _MIG_OPS:
-                src_seq, record_plan = decode_mig_header(record.keys[0])
+                src_seq, record_plan = decode_mig_header(record.header)
                 if record_plan == marker:
                     done_through = max(done_through, src_seq)
         excised = 0
@@ -487,45 +454,28 @@ class RebalanceState:
                 break
             if record.seq <= done_through:
                 continue
-            all_keys = mig_record_keys(record)
-            keys = [
-                key
-                for key in all_keys
-                if ranges.contains(hash_key(key))
-            ]
-            if not keys:
+            keys = ranges.select(record.keys)
+            if not len(keys):
                 continue
-            insert_like = _record_insert_like(record.op)
-            header = encode_mig_header(record.seq, marker)
-            if isinstance(all_keys, np.ndarray):
-                arr = np.ascontiguousarray(keys, dtype="<u8")
-                inverse_op = (
-                    Opcode.MIG_DELETE64 if insert_like else Opcode.MIG_INSERT64
-                )
-                blob = arr.tobytes()
-                self.wal.append(
-                    inverse_op,
-                    [header, *(blob[i : i + 8] for i in range(0, len(blob), 8))],
-                )
-                columns = [arr[i : i + 1] for i in range(arr.size)]
-            else:
-                inverse_op = (
-                    Opcode.MIG_DELETE if insert_like else Opcode.MIG_INSERT
-                )
-                self.wal.append(inverse_op, [header, *keys])
-                columns = [[key] for key in keys]
-            for column in columns:
-                try:
-                    if insert_like:
-                        self.filter.delete_many(column)
-                    else:
-                        self.filter.insert_many(column)
-                except ReproError:
-                    # Deterministic on replay; see module docstring.
-                    pass
+            inverse_op = (
+                Opcode.MIG_DELETE64
+                if _record_insert_like(record.op)
+                else Opcode.MIG_INSERT64
+            )
+            self._log_and_apply(
+                inverse_op, keys, encode_mig_header(record.seq, marker)
+            )
             excised += len(keys)
             self.counters["keys_excised"] += len(keys)
         return excised
+
+    def _log_and_apply(self, op: Opcode, keys: np.ndarray, header: bytes) -> int:
+        """Log one migration record, then apply it key by key; returns
+        the keys the filter rejected (skipped identically on replay)."""
+        seq = self.wal.append(op, keys, header=header)
+        return apply_record(
+            self.filter, WalRecord(seq=seq, op=op, keys=keys, header=header)
+        )
 
     # -- destination side ------------------------------------------------
     def begin_destination(self, plan: str, group: str, epoch_blob: bytes) -> dict:
@@ -546,23 +496,21 @@ class RebalanceState:
         for record in self.wal.replay():
             if record.op not in _MIG_OPS:
                 continue
-            src_seq, record_plan = decode_mig_header(record.keys[0])
+            src_seq, record_plan = decode_mig_header(record.header)
             if record_plan == plan:
                 cursor = max(cursor, src_seq)
         self._incoming[plan] = _IncomingSession(plan=plan, cursor=cursor)
         return {"cursor": cursor}
 
-    def apply_records(self, plan: str, records: list) -> dict:
+    def apply_records(self, plan: str, records: list[WalRecord]) -> dict:
         """Apply one streamed batch; durable before the ack.
 
-        Each source record becomes one local migration record (header +
-        keys, a single CRC unit) and applies per key — a key the filter
-        rejects (e.g. saturation policy) is skipped, identically on
-        every replay.  Columnar records (``BULK64_*`` ops, u64 columns)
-        are logged as the packed ``MIG_*64`` flavours and applied as
-        one-element columns, so the destination never re-encodes a
-        pre-encoded key.  Records at or below the cursor are duplicates
-        from a coordinator retry and are acknowledged without effect.
+        Each source record becomes one local migration record (plan
+        header + keys, a single CRC unit) and applies per key — a key
+        the filter rejects (e.g. saturation policy) is skipped,
+        identically on every replay.  Records at or below the cursor are
+        duplicates from a coordinator retry and are acknowledged without
+        effect.
         """
         session = self._incoming.get(plan)
         if session is None:
@@ -570,40 +518,20 @@ class RebalanceState:
                 f"no migration session for plan {plan!r}; send MIGRATE_BEGIN"
             )
         applied = skipped = 0
-        for src_seq, op, keys in records:
-            if src_seq <= session.cursor:
+        for record in records:
+            if record.seq <= session.cursor:
                 continue
-            insert_like = _record_insert_like(op)
-            header = encode_mig_header(src_seq, plan)
-            if isinstance(keys, np.ndarray):
-                arr = np.ascontiguousarray(keys, dtype="<u8")
-                wal_op = (
-                    Opcode.MIG_INSERT64
-                    if insert_like
-                    else Opcode.MIG_DELETE64
-                )
-                blob = arr.tobytes()
-                self.wal.append(
-                    wal_op,
-                    [header, *(blob[i : i + 8] for i in range(0, len(blob), 8))],
-                )
-                columns = [arr[i : i + 1] for i in range(arr.size)]
-            else:
-                wal_op = (
-                    Opcode.MIG_INSERT if insert_like else Opcode.MIG_DELETE
-                )
-                self.wal.append(wal_op, [header, *keys])
-                columns = [[key] for key in keys]
-            for column in columns:
-                try:
-                    if insert_like:
-                        self.filter.insert_many(column)
-                    else:
-                        self.filter.delete_many(column)
-                    applied += 1
-                except ReproError:
-                    skipped += 1
-            session.cursor = src_seq
+            op = (
+                Opcode.MIG_INSERT64
+                if _record_insert_like(record.op)
+                else Opcode.MIG_DELETE64
+            )
+            failed = self._log_and_apply(
+                op, record.keys, encode_mig_header(record.seq, plan)
+            )
+            applied += len(record.keys) - failed
+            skipped += failed
+            session.cursor = record.seq
             session.records_applied += 1
             self.counters["records_applied"] += 1
         # Force durability regardless of fsync policy: the coordinator

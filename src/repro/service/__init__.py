@@ -12,12 +12,14 @@ same way the paper's one-word layout amortises memory accesses.
 Modules
 -------
 * :mod:`~repro.service.protocol` — versioned length-prefixed binary
-  wire format (INSERT/QUERY/DELETE/BATCH/STATS/SNAPSHOT/PING).
+  wire format: keyed frames carry u64 wire-key columns (BULK64_*),
+  plus PING/STATS/SNAPSHOT/HELLO and the shared record codec.
 * :mod:`~repro.service.server` — the daemon (:class:`FilterServer`,
   :func:`serve`).
 * :mod:`~repro.service.batching` — the coalescer
   (:class:`MicroBatcher`, :class:`FilterExecutor`).
-* :mod:`~repro.service.client` — sync and async clients.
+* :mod:`~repro.service.client` — sync and async clients over one
+  sans-IO request core, and :func:`~repro.service.client.wire_keys`.
 * :mod:`~repro.service.metrics` — op/latency/batch-size metrics behind
   the STATS op.
 * :mod:`~repro.service.snapshot` — atomic snapshot/restore through

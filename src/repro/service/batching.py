@@ -9,9 +9,13 @@ requests one at a time — it appends them to a queue, and a single drain
 task gathers whatever has accumulated (bounded by ``max_batch`` keys and
 ``max_delay_us`` of added latency) into one dispatch.
 
+Every request carries one column of pre-encoded ``uint64`` wire keys
+(see :mod:`repro.service.protocol`), so fusing a batch is one
+``np.concatenate`` and the hosted filter never encodes a key.
+
 Ordering: batches dispatch strictly in arrival order and a batch only
 contains consecutive same-operation requests, so a client that awaits
-its INSERT response before sending a QUERY always observes the insert.
+its insert response before sending a query always observes the insert.
 All filter access happens on one worker thread (the executor below is
 single-threaded), so the hosted filter needs no locks.
 
@@ -28,7 +32,6 @@ import asyncio
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -43,9 +46,9 @@ from repro.filters.base import CountingFilterBase
 from repro.observability.logging import get_logger
 from repro.observability.spans import span
 from repro.service.metrics import ServiceMetrics
-from repro.service.protocol import Opcode
+from repro.service.protocol import Opcode, WalRecord
 
-__all__ = ["FilterExecutor", "MicroBatcher"]
+__all__ = ["FilterExecutor", "MicroBatcher", "apply_record"]
 
 logger = get_logger("service.batching")
 
@@ -53,9 +56,8 @@ logger = get_logger("service.batching")
 @dataclass
 class _Pending:
     op: Opcode
-    #: Legacy requests carry a list of byte keys; bulk64 requests carry
-    #: the pre-encoded u64 column straight off the wire (zero-copy).
-    keys: "list[bytes] | np.ndarray"
+    #: The request's wire-key column, straight off the wire (zero-copy).
+    keys: np.ndarray
     future: asyncio.Future = field(repr=False)
     #: Wire-level request id (see :func:`repro.observability.logging.
     #: new_request_id`); lets a coalesced dispatch log which requests
@@ -76,14 +78,54 @@ class _Stop:
     """Queue sentinel ending the drain loop."""
 
 
+#: Record ops that add keys; the other record ops remove them.
+_INSERT_RECORDS = (Opcode.BULK64_INSERT, Opcode.MIG_INSERT64)
+
+
+def apply_record(filt, record: WalRecord) -> int:
+    """Apply one logged mutation to ``filt``; returns the failures skipped.
+
+    The one replay rule, shared by crash recovery
+    (:func:`repro.cluster.node.recover_node`), replicas and both ends of
+    a migration.  A client record applies as one bulk call, as it did
+    live: a :class:`~repro.errors.ReproError` skips the whole record,
+    because the primary logged it and then hit the same error against
+    the same state.  A migration record (``MIG_*64``) applies key by
+    key, so a per-key counter error skips that key alone — on the
+    primary, on every replica and on every replay.
+    """
+    mutate = (
+        filt.insert_many if record.op in _INSERT_RECORDS else filt.delete_many
+    )
+    keys = record.keys
+    if record.op in (Opcode.BULK64_INSERT, Opcode.BULK64_DELETE):
+        columns = [keys]
+    else:
+        columns = [keys[i : i + 1] for i in range(len(keys))]
+    failures = 0
+    for column in columns:
+        try:
+            mutate(column)
+        except ReproError:
+            failures += 1
+    return failures
+
+
+def _fuse(key_lists, indices) -> np.ndarray:
+    """The selected requests' columns as one bulk-call column."""
+    if len(indices) == 1:
+        return key_lists[indices[0]]
+    return np.concatenate([key_lists[index] for index in indices])
+
+
 class FilterExecutor:
     """Applies one coalesced batch of requests to the hosted filter.
 
-    Runs on the batcher's worker thread.  QUERY batches fuse across
-    requests into a single ``query_many`` probe (read-only, so a shared
-    failure cannot corrupt state).  INSERT/DELETE apply per request —
-    each request still rides its own bulk path — so a mid-batch error is
-    attributed to exactly the request that caused it and neighbouring
+    Runs on the batcher's worker thread.  Query and count batches fuse
+    across requests into a single ``query_many``/``count_many`` probe
+    (read-only, so a shared failure cannot corrupt state).  Inserts and
+    deletes apply per request — each request still rides its own bulk
+    path — so a mid-batch error is attributed to exactly the request that caused it and neighbouring
     requests are never replayed against partially-applied state.  Pass
     ``fuse_mutations=True`` to fuse writes too (worth it only when the
     filter's overflow policies saturate, i.e. bulk inserts cannot raise;
@@ -138,15 +180,19 @@ class FilterExecutor:
             or getattr(filt, "supports_deletion", False)
         )
 
-    def apply(
-        self, op: Opcode, key_lists: list[list[bytes]]
-    ) -> list[object]:
+    def apply(self, op: Opcode, key_lists: list[np.ndarray]) -> list[object]:
         """Return one result or exception per request in the batch."""
-        if op == Opcode.QUERY:
-            return self._apply_queries(key_lists)
+        if op == Opcode.BULK64_QUERY:
+            return self._apply_probe(self.filter.query_many, op, key_lists)
         if op == Opcode.BULK64_COUNT:
-            return self._apply_counts(key_lists)
-        if op == Opcode.DELETE and not self.supports_deletion:
+            count_many = getattr(self.filter, "count_many", None)
+            if count_many is None or not self.supports_deletion:
+                exc = UnsupportedOperationError(
+                    f"{self.filter.name} does not support counting"
+                )
+                return [exc for _ in key_lists]
+            return self._apply_probe(count_many, op, key_lists)
+        if op == Opcode.BULK64_DELETE and not self.supports_deletion:
             exc = UnsupportedOperationError(
                 f"{self.filter.name} does not support deletion"
             )
@@ -177,71 +223,6 @@ class FilterExecutor:
                 results[index] = exc
         return passing
 
-    def _fused_keys(self, key_lists, indices):
-        """Fuse the selected requests' keys into one bulk-call column.
-
-        All-legacy batches flatten into one byte-key list (the filter
-        encodes the whole column in a single vectorised pass); batches
-        with any columnar member concatenate into one ``uint64`` array,
-        encoding legacy stragglers through the filter's own encoder so
-        the fused keys are bit-identical to the per-request path.
-        Returns ``None`` when the batch mixes forms and the hosted
-        backend has no encoder (the cluster router) — callers then fall
-        back to one bulk call per key form.
-        """
-        lists = [key_lists[index] for index in indices]
-        if not any(isinstance(keys, np.ndarray) for keys in lists):
-            return list(chain.from_iterable(lists))
-        if len(lists) == 1:
-            return lists[0]
-        if all(isinstance(keys, np.ndarray) for keys in lists):
-            return np.concatenate(lists)
-        encoder = getattr(self.filter, "encoder", None)
-        if encoder is None:
-            return None
-        return np.concatenate(
-            [
-                keys
-                if isinstance(keys, np.ndarray)
-                else encoder.encode_many(keys)
-                for keys in lists
-            ]
-        )
-
-    def _fused_probe(
-        self, probe, key_lists, passing: list[int], dtype
-    ) -> np.ndarray:
-        """One read-only bulk probe over the fused batch.
-
-        Returns a flat answer array aligned with the concatenation of
-        the passing requests' keys.  Normally a single bulk call; the
-        mixed-form/no-encoder fallback makes exactly two (one per key
-        form) and interleaves the answers back into request order.
-        """
-        fused = self._fused_keys(key_lists, passing)
-        if fused is not None:
-            return np.asarray(probe(fused), dtype=dtype)
-        counts = [len(key_lists[index]) for index in passing]
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        answers = np.empty(offsets[-1], dtype=dtype)
-        legacy = [i for i in passing if not isinstance(key_lists[i], np.ndarray)]
-        columnar = [i for i in passing if isinstance(key_lists[i], np.ndarray)]
-        for group, column in (
-            (legacy, list(chain.from_iterable(key_lists[i] for i in legacy))),
-            (columnar, np.concatenate([key_lists[i] for i in columnar])
-             if columnar else None),
-        ):
-            if not group:
-                continue
-            part = np.asarray(probe(column), dtype=dtype)
-            pos = 0
-            for i in group:
-                slot = passing.index(i)
-                n = len(key_lists[i])
-                answers[offsets[slot] : offsets[slot] + n] = part[pos : pos + n]
-                pos += n
-        return answers
-
     def _scatter(
         self, answers: np.ndarray, key_lists, passing: list[int], results
     ) -> None:
@@ -252,52 +233,21 @@ class FilterExecutor:
         for index, part in zip(passing, np.split(answers, boundaries)):
             results[index] = part
 
-    def _apply_queries(self, key_lists) -> list[object]:
+    def _apply_probe(self, probe, op: Opcode, key_lists) -> list[object]:
+        """One read-only bulk probe over the fused batch, sliced back per
+        request (a shared failure cannot corrupt state)."""
         results: list[object] = [None] * len(key_lists)
-        passing = self._gate_pass(Opcode.QUERY, key_lists, results)
-        if not passing:
-            return results
-        answers = self._fused_probe(
-            self.filter.query_many, key_lists, passing, bool
-        )
-        self._scatter(answers, key_lists, passing, results)
-        return results
-
-    def _apply_counts(self, key_lists) -> list[object]:
-        results: list[object] = [None] * len(key_lists)
-        count_many = getattr(self.filter, "count_many", None)
-        if count_many is None or not self.supports_deletion:
-            exc = UnsupportedOperationError(
-                f"{self.filter.name} does not support counting"
-            )
-            return [exc for _ in key_lists]
-        passing = self._gate_pass(Opcode.BULK64_COUNT, key_lists, results)
+        passing = self._gate_pass(op, key_lists, results)
         if not passing:
             return results
         try:
-            answers = self._fused_probe(
-                count_many, key_lists, passing, np.uint64
-            )
+            answers = np.asarray(probe(_fuse(key_lists, passing)))
         except ReproError as exc:
             for index in passing:
                 results[index] = exc
             return results
         self._scatter(answers, key_lists, passing, results)
         return results
-
-    #: WAL/replication record op for a columnar mutation request.
-    _COLUMNAR_RECORD = {
-        Opcode.INSERT: Opcode.BULK64_INSERT,
-        Opcode.DELETE: Opcode.BULK64_DELETE,
-    }
-
-    def _log(self, op: Opcode, keys) -> int | None:
-        """WAL-append one request's record; returns its sequence."""
-        if self.wal is None:
-            return None
-        if isinstance(keys, np.ndarray):
-            op = self._COLUMNAR_RECORD[op]
-        return self.wal.append(op, keys)
 
     def _apply_fused(self, op: Opcode, key_lists) -> list[object]:
         # Never WAL-logged: __init__ rejects fuse_mutations with a WAL.
@@ -306,41 +256,16 @@ class FilterExecutor:
         # the coalesced micro-batch.
         mutate = (
             self.filter.insert_many
-            if op == Opcode.INSERT
+            if op == Opcode.BULK64_INSERT
             else self.filter.delete_many
         )
-        fused = self._fused_keys(key_lists, range(len(key_lists)))
         try:
-            if fused is None:
-                # Mixed key forms on an encoder-less backend: one bulk
-                # call per form is the best available fusion.
-                legacy = list(
-                    chain.from_iterable(
-                        keys
-                        for keys in key_lists
-                        if not isinstance(keys, np.ndarray)
-                    )
-                )
-                if legacy:
-                    mutate(legacy)
-                mutate(
-                    np.concatenate(
-                        [
-                            keys
-                            for keys in key_lists
-                            if isinstance(keys, np.ndarray)
-                        ]
-                    )
-                )
-            else:
-                mutate(fused)
+            mutate(_fuse(key_lists, range(len(key_lists))))
         except ReproError as exc:
             return [exc for _ in key_lists]
         return [None for _ in key_lists]
 
-    def _apply_isolated(
-        self, op: Opcode, key_lists: list[list[bytes]]
-    ) -> list[object]:
+    def _apply_isolated(self, op: Opcode, key_lists) -> list[object]:
         results: list[object] = []
         for keys in key_lists:
             if self.gate is not None:
@@ -349,9 +274,9 @@ class FilterExecutor:
                 except ReproError as exc:
                     results.append(exc)
                     continue
-            seq = self._log(op, keys)
+            seq = None if self.wal is None else self.wal.append(op, keys)
             try:
-                if op == Opcode.INSERT:
+                if op == Opcode.BULK64_INSERT:
                     self.filter.insert_many(keys)
                 else:
                     self.filter.delete_many(keys)
@@ -394,7 +319,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        apply: Callable[[Opcode, list[list[bytes]]], list[object]],
+        apply: Callable[[Opcode, list[np.ndarray]], list[object]],
         *,
         max_batch: int = 512,
         max_delay_us: float = 200.0,
@@ -458,7 +383,7 @@ class MicroBatcher:
     async def submit(
         self,
         op: Opcode,
-        keys: list[bytes],
+        keys: np.ndarray,
         *,
         request_id: str | None = None,
         deadline=None,

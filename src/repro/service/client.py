@@ -7,6 +7,24 @@ TCP connection with strict request/response ordering.  The sync
 connections from one process (the integration tests and the throughput
 benchmark drive the daemon's coalescer with it).
 
+Both are thin shells over one sans-IO request core: every operation is
+defined once, as a request (opcode, body, expected reply, decoder,
+deadline), and the core also applies the breaker and checks the reply.
+The shells only connect, send and receive — so an async call is the
+sync call awaited.
+
+Wire keys: every keyed operation sends its keys as one column of
+``uint64`` wire keys (a ``BULK64_*`` frame; a point operation is a
+one-key column).  The wire key of a ``str`` or ``bytes`` key is
+:func:`~repro.hashing.encoders.encode_bytes` of its bytes (UTF-8 for
+``str``), computed in bulk by :func:`~repro.hashing.encoders.
+encode_str_array` — see :func:`wire_keys`.  That is the default
+encoding every filter applies to the same byte key, so the daemon
+never encodes a key and a served filter is byte-identical to an
+in-process one fed the same keys.  Replies unpack vectorised
+(``unpack_bools_array`` over the reply buffer — no per-bit Python
+loop).
+
 Connection establishment retries with full-jitter exponential backoff
 (each attempt sleeps ``uniform(0, min(cap, base * 2**attempt))``) —
 daemons come up asynchronously and "connect until it answers" is the
@@ -32,20 +50,6 @@ Overload integration (both transports, off by default):
   application errors) proves the node is serving and counts as
   success.  While open, calls fail locally with
   :class:`~repro.errors.OverloadedError` — no packet is sent.
-
-Columnar fastpath (the ``*_many64`` methods): keys are pre-encoded
-client-side with the library's vectorised FNV-1a encoders and shipped
-as a packed little-endian ``uint64`` column (BULK64_* frames, protocol
-version 2).  The server decodes with a zero-copy view and skips
-re-encoding entirely, and responses unpack vectorised
-(``unpack_bools_array`` over the reply buffer — no per-bit Python
-loop).  Support is negotiated lazily with one HELLO exchange; against
-a server without the feature, str/bytes inputs silently fall back to
-the legacy BATCH path (byte-identical results, since the server then
-runs the same encoder), while already-encoded ``uint64`` arrays cannot
-be downgraded and raise.  Pre-encoding assumes the server's filter
-uses the default :class:`~repro.hashing.encoders.KeyEncoder`; a server
-hosting a custom encoder needs legacy frames.
 """
 
 from __future__ import annotations
@@ -55,17 +59,15 @@ import json
 import random
 import socket
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.errors import UnsupportedOperationError
-from repro.hashing.encoders import KeyEncoder, encode_str_array
+from repro.hashing.encoders import encode_bytes, encode_str_array
 from repro.overload import Deadline
 from repro.service.protocol import (
     FEATURE_BULK64,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_BULK64,
-    SUPPORTED_VERSIONS,
     ErrorCode,
     FrameDecoder,
     Opcode,
@@ -73,21 +75,23 @@ from repro.service.protocol import (
     RemoteError,
     decode_error_body,
     decode_hello_body,
-    encode_batch_body,
     encode_bulk64_body,
     encode_deadline_body,
     encode_frame,
     encode_hello_body,
     read_frame,
-    unpack_bools,
     unpack_bools_array,
     unpack_counts64,
 )
 
-__all__ = ["FilterClient", "AsyncFilterClient"]
+__all__ = ["FilterClient", "AsyncFilterClient", "wire_keys"]
 
 #: Backoff delays never exceed this many seconds, jitter included.
 BACKOFF_CAP_S = 2.0
+#: Smallest batch :func:`wire_keys` encodes vectorised; below it the
+#: per-key fold is cheaper than the vectorised fold's fixed cost
+#: (measured: one key ~150 us vectorised vs ~5 us per key).
+_VECTOR_MIN_KEYS = 64
 
 
 def _jittered_delay(base_s: float, attempt: int, rng=random) -> float:
@@ -108,94 +112,136 @@ def _to_bytes(key) -> bytes:
     raise TypeError(f"wire keys must be str or bytes, got {type(key).__name__}")
 
 
-#: Stateless vectorised encoder; one instance serves every client.  It
-#: is the same default the server's filters construct, which is what
-#: makes client-side pre-encoding bit-identical to the legacy path.
-_ENCODER = KeyEncoder()
+def wire_keys(keys) -> np.ndarray:
+    """Encode ``str``/``bytes`` keys to the ``uint64`` column the wire
+    carries.
 
-
-def _encode_keys64(keys) -> np.ndarray:
-    """Pre-encode keys to the u64 column a BULK64 frame carries.
-
-    A ``uint64`` ndarray passes through untouched (already encoded);
-    anything else normalises to bytes first so the encoding matches
-    what the server would compute for the same legacy frame.  Byte
-    keys take the vectorised FNV fold (:func:`encode_str_array`)
-    unless one ends in a NUL — NumPy ``S`` arrays strip trailing NULs,
-    so those keys fall back to the exact scalar path.
+    Each key's wire form is :func:`~repro.hashing.encoders.encode_bytes`
+    of its bytes (UTF-8 for ``str``).  A batch of at least 64 keys
+    takes the vectorised FNV fold
+    (:func:`encode_str_array`) unless a key ends in a NUL — NumPy ``S``
+    arrays strip trailing NULs, so such a batch, like a small one,
+    encodes key by key instead.
     """
-    if isinstance(keys, np.ndarray) and keys.dtype == np.uint64:
-        return keys
-    raw = [_to_bytes(k) for k in keys]
-    if raw and not any(k[-1:] == b"\x00" for k in raw):
+    raw = [_to_bytes(key) for key in keys]
+    if len(raw) >= _VECTOR_MIN_KEYS and not any(
+        key[-1:] == b"\x00" for key in raw
+    ):
         arr = np.array(raw, dtype=np.bytes_)
         if arr.dtype.itemsize:
             return encode_str_array(arr)
-    return _ENCODER.encode_many(raw)
+    return np.fromiter((encode_bytes(key) for key in raw), np.uint64, len(raw))
 
 
-class _BaseClient:
-    """Request encoding + overload bookkeeping shared by both transports.
+class _Request(NamedTuple):
+    """One exchange, fully described before any IO happens."""
 
-    Subclasses set ``deadline_s`` and ``breaker`` in their constructors
-    (both ``None`` by default — no behaviour change for existing users).
+    opcode: Opcode
+    body: bytes
+    #: Reply opcode to expect; ``None`` accepts any (raw :meth:`call`).
+    reply: Opcode | None
+    #: Turns the reply body into the operation's result.
+    decode: Callable[[bytes], object] | None
+    deadline: Deadline | None = None
+
+
+def _ack(body: bytes) -> None:
+    return None
+
+
+def _true(body: bytes) -> bool:
+    return True
+
+
+def _first_bool(body: bytes) -> bool:
+    return bool(unpack_bools_array(body)[0])
+
+
+def _json(body: bytes) -> dict:
+    return json.loads(body.decode("utf-8"))
+
+
+def _bulk64_feature(body: bytes) -> bool:
+    return bool(decode_hello_body(body)[1] & FEATURE_BULK64)
+
+
+#: This client's HELLO body.
+_HELLO = encode_hello_body(PROTOCOL_VERSION, FEATURE_BULK64)
+
+#: Keyed opcode → (reply opcode, reply decoder).
+_KEYED = {
+    Opcode.BULK64_INSERT: (Opcode.OK, _ack),
+    Opcode.BULK64_DELETE: (Opcode.OK, _ack),
+    Opcode.BULK64_QUERY: (Opcode.BITMAP, unpack_bools_array),
+    Opcode.BULK64_COUNT: (Opcode.COUNTS64, unpack_counts64),
+}
+
+
+class _RequestCore:
+    """The sans-IO request core both transports share.
+
+    Each operation below builds a :class:`_Request` and hands it to the
+    transport's ``_exchange``, which sends :meth:`_frame` and returns
+    :meth:`_reply`.  The sync shell's ``_exchange`` returns the decoded
+    result; the async shell's is a coroutine function, so on
+    :class:`AsyncFilterClient` every operation returns an awaitable.
     """
 
-    deadline_s: float | None = None
-    breaker = None
-    #: Tri-state bulk64 capability: None until the first HELLO exchange.
-    _bulk64: bool | None = None
-
-    def _resolve_deadline(self, deadline) -> "Deadline | None":
-        if deadline is not None:
-            return deadline
-        if self.deadline_s is not None:
-            return Deadline.after(self.deadline_s)
-        return None
-
-    @staticmethod
-    def _wrap_deadline(
-        frame_op: Opcode,
-        body: bytes,
-        deadline,
+    def __init__(
+        self,
+        host: str,
+        port: int,
         *,
-        version: int = PROTOCOL_VERSION,
-    ) -> bytes:
-        """Encode the request, DEADLINE-wrapped when a budget applies.
+        retries: int,
+        backoff_s: float,
+        deadline_s: float | None,
+        breaker,
+        transport,
+        rng,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.retries = retries
+        self.backoff_s = backoff_s
+        self.deadline_s = deadline_s
+        self.breaker = breaker
+        if transport is None:
+            from repro.service.transport import REAL_TRANSPORT
 
-        The wrapped budget is read at *send* time, so whatever the
-        caller already spent (breaker gate, connection backoff, earlier
-        attempts against another node) has been deducted.  ``version``
-        stamps the outer frame — bulk64 requests travel as protocol
-        version 2 so a v1-only server rejects them cleanly.
+            transport = REAL_TRANSPORT
+        self.transport = transport
+        self._rng = rng if rng is not None else random
+
+    def _unreachable(self, error) -> ConnectionError:
+        return ConnectionError(
+            f"cannot reach repro service at {self.host}:{self.port}: {error}"
+        )
+
+    # -- the two IO-free halves of an exchange ----------------------------
+    def _frame(self, request: _Request) -> bytes:
+        """Gate on the breaker, then encode the frame.
+
+        The DEADLINE wrapper's budget is read here, just before the
+        send, so whatever the caller already spent (earlier attempts
+        against another node, retry sleeps) is deducted.
         """
-        if deadline is None:
-            return encode_frame(frame_op, body, version=version)
+        if self.breaker is not None:
+            self.breaker.allow()
+        if request.deadline is None:
+            return encode_frame(request.opcode, request.body)
         return encode_frame(
             Opcode.DEADLINE,
-            encode_deadline_body(deadline.remaining_us(), frame_op, body),
-            version=version,
+            encode_deadline_body(
+                request.deadline.remaining_us(), request.opcode, request.body
+            ),
         )
 
-    @staticmethod
-    def _reject_downgrade(keys) -> None:
-        """Pre-encoded columns cannot ride the legacy byte-key path."""
-        if isinstance(keys, np.ndarray):
-            raise UnsupportedOperationError(
-                "server does not support bulk64 frames and pre-encoded "
-                "u64 keys cannot be downgraded to byte keys; pass the "
-                "original str/bytes keys instead"
-            )
+    def _transport_failed(self) -> None:
+        if self.breaker is not None:
+            self.breaker.record_failure()
 
-    @staticmethod
-    def _hello_verdict(version: int, features: int) -> bool:
-        return (
-            version >= PROTOCOL_VERSION_BULK64
-            and bool(features & FEATURE_BULK64)
-        )
-
-    def _breaker_verdict(self, opcode: Opcode, body: bytes) -> None:
-        """Classify one reply for the breaker; raises on ERROR frames."""
+    def _reply(self, request: _Request, opcode: Opcode, body: bytes):
+        """Classify one reply for the breaker, check it, decode it."""
         if opcode == Opcode.ERROR:
             code, message = decode_error_body(body)
             if self.breaker is not None:
@@ -208,9 +254,114 @@ class _BaseClient:
             raise RemoteError(code, message)
         if self.breaker is not None:
             self.breaker.record_success()
+        if request.reply is None:
+            return opcode, body
+        if opcode != request.reply:
+            raise ProtocolError(
+                f"expected {request.reply.name} response, got {opcode.name}"
+            )
+        return request.decode(body)
+
+    # -- operations -------------------------------------------------------
+    def _keyed(self, opcode: Opcode, column, deadline, decode=None) -> _Request:
+        reply, default_decode = _KEYED[opcode]
+        if deadline is None and self.deadline_s is not None:
+            deadline = Deadline.after(self.deadline_s)
+        return _Request(
+            opcode,
+            encode_bulk64_body(column),
+            reply,
+            decode or default_decode,
+            deadline,
+        )
+
+    def send_column(self, opcode: Opcode, column, *, deadline=None):
+        """Send one keyed frame over an already-encoded wire-key column.
+
+        Every keyed operation ends here; the cluster router forwards the
+        columns it routes through this directly.  ``deadline`` defaults
+        to ``deadline_s`` from now.
+        """
+        return self._exchange(self._keyed(opcode, column, deadline))
+
+    def insert_many(self, keys, *, deadline=None) -> None:
+        """Insert every key (one BULK64_INSERT frame)."""
+        return self.send_column(
+            Opcode.BULK64_INSERT, wire_keys(keys), deadline=deadline
+        )
+
+    def delete_many(self, keys, *, deadline=None) -> None:
+        """Delete every key (one BULK64_DELETE frame)."""
+        return self.send_column(
+            Opcode.BULK64_DELETE, wire_keys(keys), deadline=deadline
+        )
+
+    def query_many(self, keys, *, deadline=None) -> np.ndarray:
+        """Membership of every key, as a bool array."""
+        return self.send_column(
+            Opcode.BULK64_QUERY, wire_keys(keys), deadline=deadline
+        )
+
+    def count_many(self, keys, *, deadline=None) -> np.ndarray:
+        """Multiplicity estimates of every key, as a ``uint64`` array."""
+        return self.send_column(
+            Opcode.BULK64_COUNT, wire_keys(keys), deadline=deadline
+        )
+
+    #: The ``*_many64`` names: each is the same operation as its
+    #: ``*_many`` twin.
+    insert_many64 = insert_many
+    delete_many64 = delete_many
+    query_many64 = query_many
+    count_many64 = count_many
+
+    def insert(self, key, *, deadline=None) -> None:
+        return self.insert_many([key], deadline=deadline)
+
+    def delete(self, key, *, deadline=None) -> None:
+        return self.delete_many([key], deadline=deadline)
+
+    def query(self, key, *, deadline=None) -> bool:
+        return self._exchange(
+            self._keyed(
+                Opcode.BULK64_QUERY, wire_keys([key]), deadline, _first_bool
+            )
+        )
+
+    def ping(self) -> bool:
+        return self._exchange(_Request(Opcode.PING, b"", Opcode.OK, _true))
+
+    def hello(self) -> tuple[int, int]:
+        """One capability exchange → (server version, feature bits)."""
+        return self._exchange(
+            _Request(Opcode.HELLO, _HELLO, Opcode.HELLO, decode_hello_body)
+        )
+
+    def bulk64_supported(self) -> bool:
+        """Whether the server's HELLO advertises the BULK64 frames."""
+        return self._exchange(
+            _Request(Opcode.HELLO, _HELLO, Opcode.HELLO, _bulk64_feature)
+        )
+
+    def stats(self) -> dict:
+        return self._exchange(_Request(Opcode.STATS, b"", Opcode.JSON, _json))
+
+    def snapshot(self) -> dict:
+        return self._exchange(
+            _Request(Opcode.SNAPSHOT, b"", Opcode.JSON, _json)
+        )
+
+    def call(self, opcode: Opcode, body: bytes = b""):
+        """Send one raw frame; returns ``(opcode, body)`` of the reply.
+
+        Error frames raise :class:`RemoteError` like every typed call.
+        The escape hatch the cluster tooling (epoch fetches, migration
+        verbs) uses for opcodes without a dedicated method.
+        """
+        return self._exchange(_Request(opcode, body, None, None))
 
 
-class FilterClient(_BaseClient):
+class FilterClient(_RequestCore):
     """Blocking client; usable as a context manager.
 
     Parameters
@@ -226,7 +377,7 @@ class FilterClient(_BaseClient):
     deadline_s:
         Default time budget per keyed operation; requests travel
         DEADLINE-wrapped so the server can shed them once stale.
-        ``None`` (default) sends bare frames, as before.
+        ``None`` (default) sends bare frames.
     breaker:
         Optional :class:`~repro.overload.CircuitBreaker` gating every
         operation; ``None`` (default) disables breaking.
@@ -252,23 +403,20 @@ class FilterClient(_BaseClient):
         transport=None,
         rng=None,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(
+            host,
+            port,
+            retries=retries,
+            backoff_s=backoff_s,
+            deadline_s=deadline_s,
+            breaker=breaker,
+            transport=transport,
+            rng=rng,
+        )
         self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.deadline_s = deadline_s
-        self.breaker = breaker
-        if transport is None:
-            from repro.service.transport import REAL_TRANSPORT
-
-            transport = REAL_TRANSPORT
-        self.transport = transport
-        self._rng = rng if rng is not None else random
         self._sock: socket.socket | None = None
         self._decoder = FrameDecoder()
 
-    # -- connection -----------------------------------------------------
     def connect(self) -> "FilterClient":
         """Connect with retry/backoff; returns self for chaining."""
         if self._sock is not None:
@@ -286,9 +434,7 @@ class FilterClient(_BaseClient):
                 time.sleep(
                     _jittered_delay(self.backoff_s, attempt, self._rng)
                 )
-        raise ConnectionError(
-            f"cannot reach repro service at {self.host}:{self.port}: {last_error}"
-        )
+        raise self._unreachable(last_error)
 
     def close(self) -> None:
         if self._sock is not None:
@@ -301,16 +447,15 @@ class FilterClient(_BaseClient):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- transport ------------------------------------------------------
-    def _call(self, frame: bytes) -> tuple[Opcode, bytes]:
-        if self._sock is None:
-            self.connect()
-        assert self._sock is not None
+    def _exchange(self, request: _Request):
+        frame = self._frame(request)
         try:
+            if self._sock is None:
+                self.connect()
             self._sock.sendall(frame)
             while True:
-                for parsed in self._decoder.frames():
-                    return parsed
+                for opcode, body in self._decoder.frames():
+                    return self._reply(request, opcode, body)
                 chunk = self._sock.recv(65536)
                 if not chunk:
                     raise ConnectionError("server closed the connection")
@@ -321,187 +466,13 @@ class FilterClient(_BaseClient):
             # later and would answer the *next* request.  Drop the
             # connection so a retry starts on a clean stream.
             self.close()
+            self._transport_failed()
             raise
 
-    def _request(
-        self,
-        op: Opcode,
-        body: bytes,
-        expected: Opcode,
-        *,
-        deadline=None,
-        use_default_deadline: bool = True,
-        version: int = PROTOCOL_VERSION,
-    ) -> bytes:
-        """One gated exchange: breaker → deadline wrap → send → verdict."""
-        if use_default_deadline:
-            deadline = self._resolve_deadline(deadline)
-        if self.breaker is not None:
-            self.breaker.allow()
-        try:
-            opcode, reply = self._call(
-                self._wrap_deadline(op, body, deadline, version=version)
-            )
-        except OSError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        self._breaker_verdict(opcode, reply)
-        if opcode != expected:
-            raise ProtocolError(
-                f"expected {expected.name} response, got {opcode.name}"
-            )
-        return reply
 
-    # -- operations -----------------------------------------------------
-    def ping(self) -> bool:
-        self._request(Opcode.PING, b"", Opcode.OK, use_default_deadline=False)
-        return True
-
-    def insert(self, key, *, deadline=None) -> None:
-        self._request(
-            Opcode.INSERT, _to_bytes(key), Opcode.OK, deadline=deadline
-        )
-
-    def query(self, key, *, deadline=None) -> bool:
-        body = self._request(
-            Opcode.QUERY, _to_bytes(key), Opcode.BOOL, deadline=deadline
-        )
-        return bool(body[0])
-
-    def delete(self, key, *, deadline=None) -> None:
-        self._request(
-            Opcode.DELETE, _to_bytes(key), Opcode.OK, deadline=deadline
-        )
-
-    def insert_many(self, keys, *, deadline=None) -> None:
-        self._request(
-            Opcode.BATCH,
-            encode_batch_body(Opcode.INSERT, [_to_bytes(k) for k in keys]),
-            Opcode.OK,
-            deadline=deadline,
-        )
-
-    def query_many(self, keys, *, deadline=None) -> list[bool]:
-        body = self._request(
-            Opcode.BATCH,
-            encode_batch_body(Opcode.QUERY, [_to_bytes(k) for k in keys]),
-            Opcode.BITMAP,
-            deadline=deadline,
-        )
-        return unpack_bools(body)
-
-    def delete_many(self, keys, *, deadline=None) -> None:
-        self._request(
-            Opcode.BATCH,
-            encode_batch_body(Opcode.DELETE, [_to_bytes(k) for k in keys]),
-            Opcode.OK,
-            deadline=deadline,
-        )
-
-    # -- columnar fastpath ----------------------------------------------
-    def hello(self) -> tuple[int, int]:
-        """One capability exchange → (server version, feature bits)."""
-        body = self._request(
-            Opcode.HELLO,
-            encode_hello_body(max(SUPPORTED_VERSIONS), FEATURE_BULK64),
-            Opcode.HELLO,
-            use_default_deadline=False,
-        )
-        return decode_hello_body(body)
-
-    def bulk64_supported(self) -> bool:
-        """Whether the server speaks bulk64 (one lazy HELLO, cached)."""
-        if self._bulk64 is None:
-            try:
-                self._bulk64 = self._hello_verdict(*self.hello())
-            except (RemoteError, ProtocolError, ConnectionError, OSError):
-                self._bulk64 = False
-        return self._bulk64
-
-    def insert_many64(self, keys, *, deadline=None) -> None:
-        """Bulk insert over the columnar fastpath (keys encoded here)."""
-        if not self.bulk64_supported():
-            self._reject_downgrade(keys)
-            return self.insert_many(keys, deadline=deadline)
-        self._request(
-            Opcode.BULK64_INSERT,
-            encode_bulk64_body(_encode_keys64(keys)),
-            Opcode.OK,
-            deadline=deadline,
-            version=PROTOCOL_VERSION_BULK64,
-        )
-
-    def query_many64(self, keys, *, deadline=None) -> np.ndarray:
-        """Bulk query over the columnar fastpath; returns a bool array."""
-        if not self.bulk64_supported():
-            self._reject_downgrade(keys)
-            return np.asarray(self.query_many(keys, deadline=deadline), bool)
-        body = self._request(
-            Opcode.BULK64_QUERY,
-            encode_bulk64_body(_encode_keys64(keys)),
-            Opcode.BITMAP,
-            deadline=deadline,
-            version=PROTOCOL_VERSION_BULK64,
-        )
-        return unpack_bools_array(body)
-
-    def delete_many64(self, keys, *, deadline=None) -> None:
-        """Bulk delete over the columnar fastpath (keys encoded here)."""
-        if not self.bulk64_supported():
-            self._reject_downgrade(keys)
-            return self.delete_many(keys, deadline=deadline)
-        self._request(
-            Opcode.BULK64_DELETE,
-            encode_bulk64_body(_encode_keys64(keys)),
-            Opcode.OK,
-            deadline=deadline,
-            version=PROTOCOL_VERSION_BULK64,
-        )
-
-    def count_many64(self, keys, *, deadline=None) -> np.ndarray:
-        """Bulk multiplicity estimates; columnar only (no legacy twin)."""
-        if not self.bulk64_supported():
-            raise UnsupportedOperationError(
-                "server does not support bulk64 COUNT frames"
-            )
-        body = self._request(
-            Opcode.BULK64_COUNT,
-            encode_bulk64_body(_encode_keys64(keys)),
-            Opcode.COUNTS64,
-            deadline=deadline,
-            version=PROTOCOL_VERSION_BULK64,
-        )
-        return unpack_counts64(body)
-
-    def stats(self) -> dict:
-        body = self._request(
-            Opcode.STATS, b"", Opcode.JSON, use_default_deadline=False
-        )
-        return json.loads(body.decode("utf-8"))
-
-    def snapshot(self) -> dict:
-        body = self._request(
-            Opcode.SNAPSHOT, b"", Opcode.JSON, use_default_deadline=False
-        )
-        return json.loads(body.decode("utf-8"))
-
-    def call(self, opcode: Opcode, body: bytes = b"") -> tuple[Opcode, bytes]:
-        """Send one raw frame; returns ``(opcode, body)`` of the reply.
-
-        Error frames raise :class:`RemoteError` like every typed call.
-        The escape hatch the cluster tooling (epoch fetches, migration
-        verbs) uses for opcodes without a dedicated method.
-        """
-        reply_op, reply_body = self._call(encode_frame(opcode, body))
-        if reply_op == Opcode.ERROR:
-            code, message = decode_error_body(reply_body)
-            raise RemoteError(code, message)
-        return reply_op, reply_body
-
-
-class AsyncFilterClient(_BaseClient):
-    """Asyncio client mirroring :class:`FilterClient`'s surface."""
+class AsyncFilterClient(_RequestCore):
+    """Asyncio client with :class:`FilterClient`'s operations, each
+    returning an awaitable."""
 
     def __init__(
         self,
@@ -515,18 +486,16 @@ class AsyncFilterClient(_BaseClient):
         transport=None,
         rng=None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.deadline_s = deadline_s
-        self.breaker = breaker
-        if transport is None:
-            from repro.service.transport import REAL_TRANSPORT
-
-            transport = REAL_TRANSPORT
-        self.transport = transport
-        self._rng = rng if rng is not None else random
+        super().__init__(
+            host,
+            port,
+            retries=retries,
+            backoff_s=backoff_s,
+            deadline_s=deadline_s,
+            breaker=breaker,
+            transport=transport,
+            rng=rng,
+        )
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
 
@@ -546,9 +515,7 @@ class AsyncFilterClient(_BaseClient):
                 await asyncio.sleep(
                     _jittered_delay(self.backoff_s, attempt, self._rng)
                 )
-        raise ConnectionError(
-            f"cannot reach repro service at {self.host}:{self.port}: {last_error}"
-        )
+        raise self._unreachable(last_error)
 
     async def close(self) -> None:
         if self._writer is not None:
@@ -566,196 +533,20 @@ class AsyncFilterClient(_BaseClient):
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    async def _call(self, frame: bytes) -> tuple[Opcode, bytes]:
-        if self._writer is None:
-            await self.connect()
-        assert self._reader is not None and self._writer is not None
+    async def _exchange(self, request: _Request):
+        frame = self._frame(request)
         try:
+            if self._writer is None:
+                await self.connect()
             self._writer.write(frame)
             await self._writer.drain()
             parsed = await read_frame(self._reader)
+            if parsed is None:
+                raise ConnectionError("server closed the connection")
         except OSError:
             # Same desync hazard as the sync client: never reuse a
             # stream whose in-flight reply was abandoned.
             await self.close()
+            self._transport_failed()
             raise
-        if parsed is None:
-            await self.close()
-            raise ConnectionError("server closed the connection")
-        return parsed
-
-    async def _request(
-        self,
-        op: Opcode,
-        body: bytes,
-        expected: Opcode,
-        *,
-        deadline=None,
-        use_default_deadline: bool = True,
-        version: int = PROTOCOL_VERSION,
-    ) -> bytes:
-        """Async twin of :meth:`FilterClient._request`."""
-        if use_default_deadline:
-            deadline = self._resolve_deadline(deadline)
-        if self.breaker is not None:
-            self.breaker.allow()
-        try:
-            opcode, reply = await self._call(
-                self._wrap_deadline(op, body, deadline, version=version)
-            )
-        except OSError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        self._breaker_verdict(opcode, reply)
-        if opcode != expected:
-            raise ProtocolError(
-                f"expected {expected.name} response, got {opcode.name}"
-            )
-        return reply
-
-    async def ping(self) -> bool:
-        await self._request(
-            Opcode.PING, b"", Opcode.OK, use_default_deadline=False
-        )
-        return True
-
-    async def insert(self, key, *, deadline=None) -> None:
-        await self._request(
-            Opcode.INSERT, _to_bytes(key), Opcode.OK, deadline=deadline
-        )
-
-    async def query(self, key, *, deadline=None) -> bool:
-        body = await self._request(
-            Opcode.QUERY, _to_bytes(key), Opcode.BOOL, deadline=deadline
-        )
-        return bool(body[0])
-
-    async def delete(self, key, *, deadline=None) -> None:
-        await self._request(
-            Opcode.DELETE, _to_bytes(key), Opcode.OK, deadline=deadline
-        )
-
-    async def insert_many(self, keys, *, deadline=None) -> None:
-        await self._request(
-            Opcode.BATCH,
-            encode_batch_body(Opcode.INSERT, [_to_bytes(k) for k in keys]),
-            Opcode.OK,
-            deadline=deadline,
-        )
-
-    async def query_many(self, keys, *, deadline=None) -> list[bool]:
-        body = await self._request(
-            Opcode.BATCH,
-            encode_batch_body(Opcode.QUERY, [_to_bytes(k) for k in keys]),
-            Opcode.BITMAP,
-            deadline=deadline,
-        )
-        return unpack_bools(body)
-
-    async def delete_many(self, keys, *, deadline=None) -> None:
-        await self._request(
-            Opcode.BATCH,
-            encode_batch_body(Opcode.DELETE, [_to_bytes(k) for k in keys]),
-            Opcode.OK,
-            deadline=deadline,
-        )
-
-    # -- columnar fastpath ----------------------------------------------
-    async def hello(self) -> tuple[int, int]:
-        """One capability exchange → (server version, feature bits)."""
-        body = await self._request(
-            Opcode.HELLO,
-            encode_hello_body(max(SUPPORTED_VERSIONS), FEATURE_BULK64),
-            Opcode.HELLO,
-            use_default_deadline=False,
-        )
-        return decode_hello_body(body)
-
-    async def bulk64_supported(self) -> bool:
-        """Whether the server speaks bulk64 (one lazy HELLO, cached)."""
-        if self._bulk64 is None:
-            try:
-                self._bulk64 = self._hello_verdict(*await self.hello())
-            except (RemoteError, ProtocolError, ConnectionError, OSError):
-                self._bulk64 = False
-        return self._bulk64
-
-    async def insert_many64(self, keys, *, deadline=None) -> None:
-        """Bulk insert over the columnar fastpath (keys encoded here)."""
-        if not await self.bulk64_supported():
-            self._reject_downgrade(keys)
-            return await self.insert_many(keys, deadline=deadline)
-        await self._request(
-            Opcode.BULK64_INSERT,
-            encode_bulk64_body(_encode_keys64(keys)),
-            Opcode.OK,
-            deadline=deadline,
-            version=PROTOCOL_VERSION_BULK64,
-        )
-
-    async def query_many64(self, keys, *, deadline=None) -> np.ndarray:
-        """Bulk query over the columnar fastpath; returns a bool array."""
-        if not await self.bulk64_supported():
-            self._reject_downgrade(keys)
-            return np.asarray(
-                await self.query_many(keys, deadline=deadline), bool
-            )
-        body = await self._request(
-            Opcode.BULK64_QUERY,
-            encode_bulk64_body(_encode_keys64(keys)),
-            Opcode.BITMAP,
-            deadline=deadline,
-            version=PROTOCOL_VERSION_BULK64,
-        )
-        return unpack_bools_array(body)
-
-    async def delete_many64(self, keys, *, deadline=None) -> None:
-        """Bulk delete over the columnar fastpath (keys encoded here)."""
-        if not await self.bulk64_supported():
-            self._reject_downgrade(keys)
-            return await self.delete_many(keys, deadline=deadline)
-        await self._request(
-            Opcode.BULK64_DELETE,
-            encode_bulk64_body(_encode_keys64(keys)),
-            Opcode.OK,
-            deadline=deadline,
-            version=PROTOCOL_VERSION_BULK64,
-        )
-
-    async def count_many64(self, keys, *, deadline=None) -> np.ndarray:
-        """Bulk multiplicity estimates; columnar only (no legacy twin)."""
-        if not await self.bulk64_supported():
-            raise UnsupportedOperationError(
-                "server does not support bulk64 COUNT frames"
-            )
-        body = await self._request(
-            Opcode.BULK64_COUNT,
-            encode_bulk64_body(_encode_keys64(keys)),
-            Opcode.COUNTS64,
-            deadline=deadline,
-            version=PROTOCOL_VERSION_BULK64,
-        )
-        return unpack_counts64(body)
-
-    async def stats(self) -> dict:
-        body = await self._request(
-            Opcode.STATS, b"", Opcode.JSON, use_default_deadline=False
-        )
-        return json.loads(body.decode("utf-8"))
-
-    async def snapshot(self) -> dict:
-        body = await self._request(
-            Opcode.SNAPSHOT, b"", Opcode.JSON, use_default_deadline=False
-        )
-        return json.loads(body.decode("utf-8"))
-
-    async def call(
-        self, opcode: Opcode, body: bytes = b""
-    ) -> tuple[Opcode, bytes]:
-        """Async twin of :meth:`FilterClient.call`."""
-        reply_op, reply_body = await self._call(encode_frame(opcode, body))
-        if reply_op == Opcode.ERROR:
-            code, message = decode_error_body(reply_body)
-            raise RemoteError(code, message)
-        return reply_op, reply_body
+        return self._reply(request, *parsed)

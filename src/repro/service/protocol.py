@@ -8,26 +8,27 @@ Framing (all integers little-endian)::
 ``payload_len`` counts the version/opcode bytes plus the body, so an
 empty-bodied frame has ``payload_len == 2``.  Frames larger than
 :data:`MAX_FRAME_BYTES` are rejected before the body is read, which
-bounds the memory a malformed (or hostile) peer can pin.
+bounds the memory a malformed (or hostile) peer can pin.  Any version
+byte other than :data:`PROTOCOL_VERSION` is rejected.
+
+Keys travel in one form only: the *wire key*, a ``uint64`` the client
+computes as FNV-1a over the key's bytes (UTF-8 for ``str`` keys; see
+:func:`repro.service.client.wire_keys`).  Every keyed request, WAL
+record, replication record and migration record carries a packed
+little-endian column of wire keys; the server never encodes a key.
 
 Request bodies::
 
     PING / STATS / SNAPSHOT  (empty)
-    INSERT / QUERY / DELETE  key bytes (the whole remaining body)
-    BATCH                    u8 sub-op | u32 count | count x (u16 len | key)
-    BULK64_*                 u32 count | count x u64 key  (columnar fastpath)
-    HELLO                    u8 max_version | u32 feature bits
+    BULK64_INSERT / _DELETE / _QUERY / _COUNT
+                             u32 count | count x u64 key
+    HELLO                    u8 version | u32 feature bits
     DEADLINE                 u32 budget_us | u8 inner opcode | inner body
 
-The ``BULK64_*`` frames carry keys the client already ran through the
-library's vectorised FNV-1a encoders (:mod:`repro.hashing.encoders`) as
-a packed little-endian ``uint64`` column.  The server decodes them with
-a zero-copy ``np.frombuffer`` view and hands the array straight to the
-columnar kernels — no per-key length prefixes, no Python loop, no
-re-encoding.  Bulk64 frames are sent under protocol version 2 so that a
-version-1-only server rejects them cleanly; ``HELLO`` lets a client
-discover the capability up front (the server echoes its own version
-ceiling and feature bits).
+A point operation is a one-key column.  The server decodes a column
+with a zero-copy ``np.frombuffer`` view and hands it straight to the
+columnar kernels.  ``HELLO`` answers with the server's version and
+feature bits.
 
 A ``DEADLINE`` frame wraps any other request and attaches the caller's
 *remaining* time budget in microseconds (client deadline minus elapsed
@@ -36,17 +37,23 @@ server answers with the inner request's normal response, or with a
 ``DEADLINE_EXCEEDED`` error if the budget ran out before the request
 reached the filter (see :mod:`repro.overload`).
 
+Records — one codec shared by WAL payloads (:mod:`repro.cluster.wal`),
+``REPLICATE`` bodies and migration streams::
+
+    record := u64 seq | u8 op | u16 header_len | header |
+              u32 count | count x u64 key
+
+``op`` is one of :data:`RECORD_OPS`.  Client mutations (``BULK64_INSERT``
+/ ``BULK64_DELETE``) carry an empty header; migration applies
+(``MIG_INSERT64`` / ``MIG_DELETE64``) carry their plan header (source
+sequence + plan id, see :mod:`repro.rebalance.migrator`) before the
+column.
+
 Replication bodies (primary → replica, see :mod:`repro.cluster`)::
 
-    REPLICATE      u64 seq | u8 op | u32 count | count x (u16 len | key)
-                   columnar ops: u64 seq | u8 op | u32 count | count x u64
+    REPLICATE      record
     REPL_STATUS    (empty; replica answers JSON {last_seq, ...})
     REPL_SNAPSHOT  u64 seq | snapshot blob (full-state catch-up)
-
-Columnar record ops (``BULK64_INSERT``/``BULK64_DELETE``) swap the
-length-prefixed key list for a packed ``u64`` column; every other
-record op keeps the legacy framing, so replicas replay mixed histories
-record-by-record with no mode switch.
 
 Rebalance bodies (coordinator → node, see :mod:`repro.rebalance`)::
 
@@ -55,15 +62,13 @@ Rebalance bodies (coordinator → node, see :mod:`repro.rebalance`)::
     MIGRATE_BEGIN / MIGRATE_READ / MIGRATE_FENCE  utf-8 JSON
     MIGRATE_APPLY  u16 plan_len | plan | records
     MIGRATE_COMMIT u32 meta_len | utf-8 JSON meta | epoch blob
-    records       := u32 count | count x (u64 seq | u8 op |
-                     u32 nkeys | nkeys x (u16 len | key))
+    records       := u32 count | count x record
 
 Response bodies::
 
     OK      (empty)               insert/delete/ping acknowledgement
-    BOOL    u8                    single-query result
-    BITMAP  u32 count | bits      batch-query results, LSB-first packed
-    COUNTS64 u32 count | count x u64   batch-count results, packed
+    BITMAP  u32 count | bits      query results, LSB-first packed
+    COUNTS64 u32 count | count x u64   count results, packed
     JSON    utf-8 JSON            stats / snapshot reports
     ACK     u64 seq               replica's highest applied WAL sequence
     ERROR   u16 code | utf-8 msg  see :class:`ErrorCode`
@@ -79,6 +84,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,21 +106,18 @@ from repro.errors import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_BULK64",
-    "SUPPORTED_VERSIONS",
     "FEATURE_BULK64",
     "MAX_FRAME_BYTES",
-    "MAX_KEY_BYTES",
     "MAX_BUDGET_US",
     "Opcode",
     "ErrorCode",
     "RECORD_OPS",
-    "COLUMNAR_RECORD_OPS",
     "BULK64_OPS",
     "REBALANCE_OPS",
     "ProtocolError",
     "RemoteError",
     "Request",
+    "WalRecord",
     "encode_frame",
     "decode_payload",
     "parse_request",
@@ -122,16 +125,14 @@ __all__ = [
     "decode_deadline_body",
     "format_retry_after",
     "parse_retry_after",
-    "encode_batch_body",
     "encode_bulk64_body",
     "decode_bulk64_body",
     "encode_hello_body",
     "decode_hello_body",
-    "bulk64_base_op",
     "encode_error_body",
     "decode_error_body",
-    "encode_replicate_body",
-    "decode_replicate_body",
+    "encode_record",
+    "decode_record",
     "encode_ack_body",
     "decode_ack_body",
     "encode_repl_snapshot_body",
@@ -157,16 +158,10 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
-#: Version that introduced the columnar bulk64 fastpath frames.
-PROTOCOL_VERSION_BULK64 = 2
-#: Every version this build of the server accepts on the wire.
-SUPPORTED_VERSIONS = (PROTOCOL_VERSION, PROTOCOL_VERSION_BULK64)
 #: HELLO feature bit: the peer speaks BULK64_* / COUNTS64 frames.
 FEATURE_BULK64 = 0x1
 #: Upper bound on one frame's payload; bounds per-connection buffering.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
-#: Keys are length-prefixed with a u16 inside BATCH bodies.
-MAX_KEY_BYTES = 0xFFFF
 
 _HEADER = struct.Struct("<I")
 _PAYLOAD_PREFIX = struct.Struct("<BB")
@@ -177,14 +172,10 @@ class Opcode(enum.IntEnum):
 
     # requests
     PING = 0x01
-    INSERT = 0x02
-    QUERY = 0x03
-    DELETE = 0x04
-    BATCH = 0x05
     STATS = 0x06
     SNAPSHOT = 0x07
     DEADLINE = 0x08
-    # columnar fastpath requests (protocol v2; packed u64 key columns)
+    # keyed requests (packed u64 wire-key columns)
     BULK64_INSERT = 0x09
     BULK64_DELETE = 0x0A
     BULK64_QUERY = 0x0B
@@ -195,13 +186,7 @@ class Opcode(enum.IntEnum):
     REPL_STATUS = 0x11
     REPL_SNAPSHOT = 0x12
     # migration record ops (WAL/replication only, never client frames;
-    # keys[0] is the migration header, see repro.rebalance.migrator)
-    MIG_INSERT = 0x13
-    MIG_DELETE = 0x14
-    # migration applies of columnar-sourced keys: framing is identical
-    # to MIG_* (keys[0] header, keys[1:] keys) but each key is the
-    # 8-byte little-endian packing of an already-encoded u64, applied
-    # without re-encoding (see repro.rebalance.migrator)
+    # the record header names the plan, see repro.rebalance.migrator)
     MIG_INSERT64 = 0x15
     MIG_DELETE64 = 0x16
     # rebalance control (coordinator → node; see repro.rebalance)
@@ -214,17 +199,13 @@ class Opcode(enum.IntEnum):
     # responses
     ERROR = 0x7F
     OK = 0x81
-    BOOL = 0x82
     BITMAP = 0x83
     JSON = 0x84
     ACK = 0x85
     COUNTS64 = 0x86
 
 
-#: Opcodes a BATCH frame may carry as its sub-operation.
-BATCH_SUBOPS = (Opcode.INSERT, Opcode.QUERY, Opcode.DELETE)
-
-#: The columnar fastpath request frames (packed u64 key columns).
+#: The keyed request frames (packed u64 key columns).
 BULK64_OPS = (
     Opcode.BULK64_INSERT,
     Opcode.BULK64_DELETE,
@@ -232,42 +213,15 @@ BULK64_OPS = (
     Opcode.BULK64_COUNT,
 )
 
-#: Record ops whose key payload is a packed u64 column rather than a
-#: length-prefixed byte-key list (WAL columnar record type; replication
-#: ships them with the same framing).
-COLUMNAR_RECORD_OPS = (Opcode.BULK64_INSERT, Opcode.BULK64_DELETE)
-
-#: Mutation ops a WAL record (and hence a REPLICATE body) may carry.
-#: The MIG_* flavours are migration applies: ``keys[0]`` is a header
-#: blob naming the plan and source sequence, ``keys[1:]`` the real keys
-#: (8-byte packed pre-encoded u64s for the ``*64`` flavours).  The
-#: BULK64_* flavours are columnar records — their keys travel as a
-#: packed u64 column.
+#: Mutation ops a record (WAL, REPLICATE, migration stream) may carry.
 RECORD_OPS = (
-    Opcode.INSERT,
-    Opcode.DELETE,
     Opcode.BULK64_INSERT,
     Opcode.BULK64_DELETE,
-    Opcode.MIG_INSERT,
-    Opcode.MIG_DELETE,
     Opcode.MIG_INSERT64,
     Opcode.MIG_DELETE64,
 )
 
-#: Maps each bulk64 request frame to the batching-layer op it fuses
-#: with.  INSERT/QUERY/DELETE coalesce with their legacy equivalents;
-#: BULK64_COUNT has no legacy twin and batches under its own op.
-_BULK64_BASE = {
-    Opcode.BULK64_INSERT: Opcode.INSERT,
-    Opcode.BULK64_DELETE: Opcode.DELETE,
-    Opcode.BULK64_QUERY: Opcode.QUERY,
-    Opcode.BULK64_COUNT: Opcode.BULK64_COUNT,
-}
-
-
-def bulk64_base_op(opcode: Opcode) -> Opcode:
-    """The batching-layer op a bulk64 request frame coalesces under."""
-    return _BULK64_BASE[opcode]
+_RECORD_OP_BY_CODE = {int(op): op for op in RECORD_OPS}
 
 #: Rebalance control opcodes the server routes to its rebalance state.
 REBALANCE_OPS = (
@@ -350,27 +304,29 @@ def error_code_for(exc: BaseException) -> ErrorCode:
 
 @dataclass
 class Request:
-    """A parsed request frame: an operation over one or more keys.
-
-    Legacy frames carry ``keys`` as a list of raw byte strings; bulk64
-    frames carry a read-only ``uint64`` ndarray view over the frame
-    body (``columnar=True``) — the keys are already encoded and flow to
-    the kernels without copying or re-hashing.
-    """
+    """A parsed keyed request: one of :data:`BULK64_OPS` over ``keys``,
+    a read-only ``uint64`` view over the frame body."""
 
     op: Opcode
-    keys: "list[bytes] | np.ndarray"
-    #: True when the request arrived as a single-key frame (response is
-    #: OK/BOOL) rather than a BATCH frame (response is OK/BITMAP).
-    single: bool
-    #: True when keys is a pre-encoded u64 column (bulk64 fastpath).
-    columnar: bool = False
+    keys: np.ndarray
+
+
+class WalRecord(NamedTuple):
+    """One logged mutation: ``op`` applied to the wire-key column
+    ``keys`` at sequence ``seq``.
+
+    ``header`` is empty for client mutations; migration records
+    (``MIG_*64``) carry their plan header there.
+    """
+
+    seq: int
+    op: Opcode
+    keys: np.ndarray
+    header: bytes = b""
 
 
 # -- encoding -----------------------------------------------------------
-def encode_frame(
-    opcode: Opcode, body: bytes = b"", *, version: int = PROTOCOL_VERSION
-) -> bytes:
+def encode_frame(opcode: Opcode, body: bytes = b"") -> bytes:
     """Serialise one frame (header + version + opcode + body)."""
     payload_len = 2 + len(body)
     if payload_len > MAX_FRAME_BYTES:
@@ -380,113 +336,9 @@ def encode_frame(
         )
     return (
         _HEADER.pack(payload_len)
-        + _PAYLOAD_PREFIX.pack(version, opcode)
+        + _PAYLOAD_PREFIX.pack(PROTOCOL_VERSION, opcode)
         + body
     )
-
-
-_KEY_LEN = struct.Struct("<H")
-_OP_COUNT = struct.Struct("<BI")
-
-
-def _encode_op_keys(op: Opcode, keys: list[bytes]) -> bytes:
-    """Pack ``u8 op | u32 count | count x (u16 len | key)``.
-
-    One preallocated buffer, filled with ``pack_into`` + slice assigns
-    — no per-key ``bytes`` objects, no join of O(keys) fragments.
-    """
-    total = 5
-    for key in keys:
-        if len(key) > MAX_KEY_BYTES:
-            raise ProtocolError(
-                f"key of {len(key)} bytes exceeds the {MAX_KEY_BYTES}-byte limit"
-            )
-        total += 2 + len(key)
-    out = bytearray(total)
-    _OP_COUNT.pack_into(out, 0, op, len(keys))
-    pos = 5
-    pack_len = _KEY_LEN.pack_into
-    for key in keys:
-        key_len = len(key)
-        pack_len(out, pos, key_len)
-        pos += 2
-        out[pos : pos + key_len] = key
-        pos += key_len
-    return bytes(out)
-
-
-def _parse_op_keys(
-    body: bytes,
-    pos: int,
-    allowed: tuple[Opcode, ...],
-    kind: str,
-    op_label: str | None = None,
-) -> tuple[Opcode, list[bytes], int]:
-    """Inverse of :func:`_encode_op_keys`; returns (op, keys, end)."""
-    label = op_label if op_label is not None else f"{kind} op"
-    if pos + 5 > len(body):
-        raise ProtocolError(f"truncated {kind} header")
-    raw_op, count = _OP_COUNT.unpack_from(body, pos)
-    try:
-        op = Opcode(raw_op)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown {label} 0x{raw_op:02x}") from exc
-    if op not in allowed:
-        raise ProtocolError(f"invalid {label} {op.name}")
-    pos += 5
-    keys: list[bytes] = []
-    unpack_len = _KEY_LEN.unpack_from
-    size = len(body)
-    for _ in range(count):
-        if pos + 2 > size:
-            raise ProtocolError(f"truncated {kind} key length")
-        (key_len,) = unpack_len(body, pos)
-        pos += 2
-        if pos + key_len > size:
-            raise ProtocolError(f"truncated {kind} key")
-        keys.append(body[pos : pos + key_len])
-        pos += key_len
-    return op, keys, pos
-
-
-def _encode_op_keys64(op: Opcode, keys: np.ndarray) -> bytes:
-    """Pack ``u8 op | u32 count | count x u64`` for a columnar record."""
-    arr = np.ascontiguousarray(keys, dtype="<u8")
-    return _OP_COUNT.pack(op, arr.size) + arr.tobytes()
-
-
-def _parse_op_keys64(
-    body: bytes, pos: int, op: Opcode, count: int, kind: str
-) -> tuple[np.ndarray, int]:
-    """Parse the u64 column of a columnar record (op/count pre-read).
-
-    Returns a read-only zero-copy view over ``body`` — safe because the
-    whole filter stack never mutates key arrays in place.
-    """
-    end = pos + count * 8
-    if end > len(body):
-        raise ProtocolError(f"truncated {kind} u64 column")
-    keys = np.frombuffer(body, dtype="<u8", count=count, offset=pos)
-    return keys, end
-
-
-def _parse_record_tail(
-    body: bytes, pos: int, kind: str
-) -> "tuple[Opcode, list[bytes] | np.ndarray, int]":
-    """Parse a record tail, dispatching on op: legacy vs columnar framing."""
-    if pos + 5 > len(body):
-        raise ProtocolError(f"truncated {kind} header")
-    raw_op, count = _OP_COUNT.unpack_from(body, pos)
-    try:
-        op = Opcode(raw_op)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown {kind} op 0x{raw_op:02x}") from exc
-    if op not in RECORD_OPS:
-        raise ProtocolError(f"invalid {kind} op {op.name}")
-    if op in COLUMNAR_RECORD_OPS:
-        keys, pos = _parse_op_keys64(body, pos + 5, op, count, kind)
-        return op, keys, pos
-    return _parse_op_keys(body, pos, RECORD_OPS, kind)
 
 
 # -- deadlines & overload hints -----------------------------------------
@@ -560,23 +412,16 @@ def parse_retry_after(message: str) -> tuple[float | None, str]:
     return ms / 1000.0, rest
 
 
-def encode_batch_body(subop: Opcode, keys: list[bytes]) -> bytes:
-    """Build a BATCH body: sub-op, count, then length-prefixed keys."""
-    if subop not in BATCH_SUBOPS:
-        raise ProtocolError(f"invalid batch sub-op {subop!r}")
-    return _encode_op_keys(subop, keys)
-
-
-_BULK64_PREFIX = struct.Struct("<I")
+_COUNT = struct.Struct("<I")  # key / record count
 _HELLO_BODY = struct.Struct("<BI")
 
 
 def encode_bulk64_body(keys) -> bytes:
     """Build a BULK64_* body: ``u32 count | count x u64`` packed keys.
 
-    ``keys`` is anything :func:`np.asarray` turns into a ``uint64``
-    column — typically the output of the library's vectorised encoders.
-    On little-endian hosts the array's buffer is appended as-is.
+    ``keys`` is a column of wire keys (anything :func:`np.asarray`
+    turns into ``uint64``).  On little-endian hosts the array's buffer
+    is appended as-is.
     """
     arr = np.ascontiguousarray(keys, dtype="<u8")
     if arr.ndim != 1:
@@ -591,7 +436,7 @@ def encode_bulk64_body(keys) -> bytes:
             f"bulk64 body of {body_len} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame limit"
         )
-    return _BULK64_PREFIX.pack(arr.size) + arr.tobytes()
+    return _COUNT.pack(arr.size) + arr.tobytes()
 
 
 def decode_bulk64_body(body: bytes) -> np.ndarray:
@@ -603,7 +448,7 @@ def decode_bulk64_body(body: bytes) -> np.ndarray:
     """
     if len(body) < 4:
         raise ProtocolError("truncated bulk64 header")
-    (count,) = _BULK64_PREFIX.unpack_from(body)
+    (count,) = _COUNT.unpack_from(body)
     if count == 0:
         raise ProtocolError("bulk64 frame carries no keys")
     if len(body) - 4 != count * 8:
@@ -631,40 +476,57 @@ def decode_hello_body(body: bytes) -> tuple[int, int]:
     return version, features
 
 
-def encode_replicate_body(seq: int, subop: Opcode, keys) -> bytes:
-    """Build a REPLICATE body: WAL sequence, then a BATCH-shaped tail.
+_RECORD_PREFIX = struct.Struct("<QBH")  # seq, op, header length
 
-    The key encoding after the ``u64 seq`` prefix is byte-identical to
-    :func:`encode_batch_body`, so replicas reuse the same parser.  Any
-    :data:`RECORD_OPS` member is accepted: replication ships migration
-    applies (MIG_*) with the same framing as client mutations, and
-    columnar records (BULK64_*) with their packed u64 column intact —
-    the replica replays the exact pre-encoded keys, never re-hashing.
+
+def encode_record(record: WalRecord) -> bytes:
+    """Pack one record: ``u64 seq | u8 op | u16 header_len | header |
+    u32 count | count x u64``.
+
+    The one key codec of the system: a WAL payload, a ``REPLICATE``
+    body and each entry of a migration stream are exactly these bytes,
+    so a replica or migration destination applies the same pre-encoded
+    column the primary logged, never re-hashing a key.
     """
-    if seq < 0:
-        raise ProtocolError(f"replication sequence must be >= 0, got {seq}")
-    if subop not in RECORD_OPS:
-        raise ProtocolError(f"invalid replicate op {subop!r}")
-    if subop in COLUMNAR_RECORD_OPS:
-        tail = _encode_op_keys64(subop, keys)
-    else:
-        tail = _encode_op_keys(subop, keys)
-    return struct.pack("<Q", seq) + tail
+    if record.seq < 0:
+        raise ProtocolError(f"record sequence must be >= 0, got {record.seq}")
+    if record.op not in RECORD_OPS:
+        raise ProtocolError(f"invalid record op {record.op!r}")
+    if len(record.header) > 0xFFFF:
+        raise ProtocolError("record header too long")
+    column = np.ascontiguousarray(record.keys, dtype="<u8")
+    return (
+        _RECORD_PREFIX.pack(record.seq, record.op, len(record.header))
+        + record.header
+        + _COUNT.pack(column.size)
+        + column.tobytes()
+    )
 
 
-def decode_replicate_body(
-    body: bytes,
-) -> "tuple[int, Opcode, list[bytes] | np.ndarray]":
-    """Inverse of :func:`encode_replicate_body`."""
-    if len(body) < 8:
-        raise ProtocolError("truncated replicate body")
-    (seq,) = struct.unpack_from("<Q", body)
-    op, keys, pos = _parse_record_tail(body, 8, "replicate")
-    if pos != len(body):
-        raise ProtocolError(
-            f"{len(body) - pos} trailing bytes after replicate keys"
-        )
-    return seq, op, keys
+def decode_record(body: bytes, pos: int = 0) -> tuple[WalRecord, int]:
+    """Inverse of :func:`encode_record` → (record, end offset).
+
+    The keys are a read-only zero-copy view over ``body`` — safe
+    because the whole filter stack never mutates key arrays in place.
+    """
+    if pos + _RECORD_PREFIX.size > len(body):
+        raise ProtocolError("truncated record header")
+    seq, raw_op, header_len = _RECORD_PREFIX.unpack_from(body, pos)
+    op = _RECORD_OP_BY_CODE.get(raw_op)
+    if op is None:
+        raise ProtocolError(f"invalid record op 0x{raw_op:02x}")
+    pos += _RECORD_PREFIX.size
+    header = body[pos : pos + header_len]
+    pos += header_len
+    if pos + _COUNT.size > len(body):
+        raise ProtocolError("truncated record key count")
+    (count,) = _COUNT.unpack_from(body, pos)
+    pos += _COUNT.size
+    end = pos + count * 8
+    if end > len(body):
+        raise ProtocolError("truncated record u64 column")
+    keys = np.frombuffer(body, dtype="<u8", count=count, offset=pos)
+    return WalRecord(seq=seq, op=op, keys=keys, header=header), end
 
 
 def encode_ack_body(seq: int) -> bytes:
@@ -694,41 +556,23 @@ def decode_repl_snapshot_body(body: bytes) -> tuple[int, bytes]:
 
 
 # -- rebalance bodies (see repro.rebalance) -----------------------------
-def encode_migrate_records(
-    records: "list[tuple[int, Opcode, list[bytes] | np.ndarray]]",
-) -> bytes:
-    """Pack migration records: count, then (seq, op, keys) triples.
-
-    Columnar records (BULK64_*) pack their keys as a u64 column; every
-    other op uses the legacy length-prefixed framing.
-    """
-    parts = [struct.pack("<I", len(records))]
-    for seq, op, keys in records:
-        if op not in RECORD_OPS:
-            raise ProtocolError(f"invalid migrate record op {op!r}")
-        parts.append(struct.pack("<Q", seq))
-        if op in COLUMNAR_RECORD_OPS:
-            parts.append(_encode_op_keys64(op, keys))
-        else:
-            parts.append(_encode_op_keys(op, keys))
-    return b"".join(parts)
+def encode_migrate_records(records: list[WalRecord]) -> bytes:
+    """Pack migration records: ``u32 count | count x record``."""
+    return _COUNT.pack(len(records)) + b"".join(
+        encode_record(record) for record in records
+    )
 
 
-def decode_migrate_records(
-    body: bytes, offset: int = 0
-) -> "list[tuple[int, Opcode, list[bytes] | np.ndarray]]":
+def decode_migrate_records(body: bytes, offset: int = 0) -> list[WalRecord]:
     """Inverse of :func:`encode_migrate_records`; consumes to the end."""
-    if offset + 4 > len(body):
+    if offset + _COUNT.size > len(body):
         raise ProtocolError("truncated migrate records header")
-    (count,) = struct.unpack_from("<I", body, offset)
-    pos = offset + 4
-    records: "list[tuple[int, Opcode, list[bytes] | np.ndarray]]" = []
+    (count,) = _COUNT.unpack_from(body, offset)
+    pos = offset + _COUNT.size
+    records: list[WalRecord] = []
     for _ in range(count):
-        if pos + 8 > len(body):
-            raise ProtocolError("truncated migrate record sequence")
-        (seq,) = struct.unpack_from("<Q", body, pos)
-        op, keys, pos = _parse_record_tail(body, pos + 8, "migrate record")
-        records.append((seq, op, keys))
+        record, pos = decode_record(body, pos)
+        records.append(record)
     if pos != len(body):
         raise ProtocolError(
             f"{len(body) - pos} trailing bytes after migrate records"
@@ -756,7 +600,7 @@ def decode_ring_epoch_set(body: bytes) -> tuple[str, bytes]:
 
 
 def encode_migrate_apply_body(
-    plan: str, records: list[tuple[int, Opcode, list[bytes]]]
+    plan: str, records: list[WalRecord]
 ) -> bytes:
     """Build a MIGRATE_APPLY body: plan id + migration records."""
     raw = plan.encode("utf-8")
@@ -767,7 +611,7 @@ def encode_migrate_apply_body(
 
 def decode_migrate_apply_body(
     body: bytes,
-) -> tuple[str, list[tuple[int, Opcode, list[bytes]]]]:
+) -> tuple[str, list[WalRecord]]:
     """Inverse of :func:`encode_migrate_apply_body`."""
     if len(body) < 2:
         raise ProtocolError("truncated migrate-apply body")
@@ -781,7 +625,7 @@ def decode_migrate_apply_body(
 def encode_migrate_read_resp(
     scanned_through: int,
     last_seq: int,
-    records: list[tuple[int, Opcode, list[bytes]]],
+    records: list[WalRecord],
 ) -> bytes:
     """Build a MIGRATE_READ response: scan watermarks + matching records."""
     return (
@@ -792,7 +636,7 @@ def encode_migrate_read_resp(
 
 def decode_migrate_read_resp(
     body: bytes,
-) -> tuple[int, int, list[tuple[int, Opcode, list[bytes]]]]:
+) -> tuple[int, int, list[WalRecord]]:
     """Inverse of :func:`encode_migrate_read_resp`."""
     if len(body) < 16:
         raise ProtocolError("truncated migrate-read response")
@@ -900,7 +744,7 @@ def decode_payload(payload: bytes) -> tuple[Opcode, bytes]:
     if len(payload) < 2:
         raise ProtocolError(f"payload of {len(payload)} bytes is too short")
     version, raw_op = _PAYLOAD_PREFIX.unpack_from(payload)
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version {version}")
     try:
         opcode = Opcode(raw_op)
@@ -910,36 +754,14 @@ def decode_payload(payload: bytes) -> tuple[Opcode, bytes]:
 
 
 def parse_request(opcode: Opcode, body: bytes) -> Request:
-    """Parse a request frame body into a :class:`Request`.
+    """Parse a keyed request frame body into a :class:`Request`.
 
-    Control frames (PING/STATS/SNAPSHOT) are not key-carrying requests
-    and are rejected here; the server dispatches them before batching.
+    Control frames (PING/STATS/SNAPSHOT) are not keyed requests and are
+    rejected here; the server dispatches them before batching.
     """
-    if opcode in (Opcode.INSERT, Opcode.QUERY, Opcode.DELETE):
-        if len(body) == 0:
-            raise ProtocolError(f"{opcode.name} frame carries an empty key")
-        if len(body) > MAX_KEY_BYTES:
-            raise ProtocolError(
-                f"key of {len(body)} bytes exceeds the {MAX_KEY_BYTES}-byte limit"
-            )
-        return Request(op=opcode, keys=[body], single=True)
-    if opcode == Opcode.BATCH:
-        subop, keys, pos = _parse_op_keys(
-            body, 0, BATCH_SUBOPS, "batch", op_label="batch sub-op"
-        )
-        if pos != len(body):
-            raise ProtocolError(
-                f"{len(body) - pos} trailing bytes after batch keys"
-            )
-        return Request(op=subop, keys=keys, single=False)
-    if opcode in BULK64_OPS:
-        return Request(
-            op=bulk64_base_op(opcode),
-            keys=decode_bulk64_body(body),
-            single=False,
-            columnar=True,
-        )
-    raise ProtocolError(f"opcode {opcode.name} is not a keyed request")
+    if opcode not in BULK64_OPS:
+        raise ProtocolError(f"opcode {opcode.name} is not a keyed request")
+    return Request(op=opcode, keys=decode_bulk64_body(body))
 
 
 class FrameDecoder:

@@ -45,21 +45,21 @@ from repro.observability.logging import get_logger, new_request_id
 from repro.observability.prometheus import render_metrics
 from repro.observability.spans import span
 from repro.overload import AdmissionController, Deadline, TokenBucket
-from repro.service.batching import FilterExecutor, MicroBatcher
+from repro.service.batching import FilterExecutor, MicroBatcher, apply_record
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     FEATURE_BULK64,
-    PROTOCOL_VERSION_BULK64,
+    PROTOCOL_VERSION,
     REBALANCE_OPS,
-    SUPPORTED_VERSIONS,
     Opcode,
     ProtocolError,
+    WalRecord,
     decode_deadline_body,
     decode_hello_body,
     decode_migrate_apply_body,
     decode_migrate_commit_body,
+    decode_record,
     decode_repl_snapshot_body,
-    decode_replicate_body,
     decode_ring_epoch_set,
     encode_ack_body,
     encode_error_body,
@@ -99,7 +99,7 @@ class FilterServer:
     max_batch, max_delay_us:
         Coalescer bounds, see :class:`~repro.service.batching.MicroBatcher`.
     fuse_mutations:
-        Fuse INSERT/DELETE batches across requests (see
+        Fuse insert/delete batches across requests (see
         :class:`~repro.service.batching.FilterExecutor`).
     snapshot_path, snapshot_interval_s:
         Enable on-demand (and optionally periodic) snapshots.
@@ -117,7 +117,7 @@ class FilterServer:
         making this node a primary: acknowledged mutations honour its
         ack mode (async or quorum).  Requires ``wal``.
     read_only:
-        Reject client INSERT/DELETE with an UNSUPPORTED error frame —
+        Reject client inserts/deletes with an UNSUPPORTED error frame —
         the replica role.  Only a read-only node accepts the
         replication write opcodes (REPLICATE / REPL_SNAPSHOT), so a
         primary's WAL sequencing cannot be bypassed or reset by a
@@ -134,7 +134,7 @@ class FilterServer:
         operation; cluster nodes always carry one.
     admission:
         Optional :class:`~repro.overload.AdmissionController`.  Every
-        keyed client request (INSERT/QUERY/DELETE/BATCH) then passes
+        keyed client request (the ``BULK64_*`` frames) then passes
         the admission gate before it may queue: past the inflight bound
         or an empty token bucket the request is answered with an
         ``OVERLOADED`` frame carrying a retry-after hint, and past the
@@ -454,9 +454,9 @@ class FilterServer:
     #: Opcode → admission-cost kind; the controller prices mutations
     #: higher than queries (see :data:`repro.overload.DEFAULT_COSTS`).
     _ADMIT_KINDS = {
-        Opcode.INSERT: "insert",
-        Opcode.QUERY: "query",
-        Opcode.DELETE: "delete",
+        Opcode.BULK64_INSERT: "insert",
+        Opcode.BULK64_QUERY: "query",
+        Opcode.BULK64_DELETE: "delete",
         # Counting is a read probe; price it like a query.
         Opcode.BULK64_COUNT: "query",
     }
@@ -473,12 +473,11 @@ class FilterServer:
         if opcode == Opcode.PING:
             return encode_frame(Opcode.OK)
         if opcode == Opcode.HELLO:
-            # Capability discovery: echo the server's version ceiling
-            # and feature bits; the client takes the intersection.
+            # Capability discovery: answer with the server's version and
+            # feature bits.
             decode_hello_body(body)
             return encode_frame(
-                Opcode.HELLO,
-                encode_hello_body(max(SUPPORTED_VERSIONS), FEATURE_BULK64),
+                Opcode.HELLO, encode_hello_body(PROTOCOL_VERSION, FEATURE_BULK64)
             )
         if opcode == Opcode.STATS:
             report = await self.batcher.run(self._stats_report)
@@ -498,18 +497,19 @@ class FilterServer:
         if opcode in REBALANCE_OPS:
             return await self._dispatch_rebalance(opcode, body)
         with span("protocol_decode", self.metrics):
-            # Bulk64 bodies decode to a zero-copy u64 view; legacy
-            # bodies pay the per-key slicing here.
+            # The key column decodes to a zero-copy u64 view.
             request = parse_request(opcode, body)
-        if request.columnar:
-            with span("protocol_copy", self.metrics):
-                # Materialise the column in native byte order.  On a
-                # little-endian host the wire dtype *is* the native
-                # dtype, so this is a no-op view — the span keeps the
-                # decode-vs-copy split honest on any architecture.
-                request.keys = np.asarray(request.keys, dtype=np.uint64)
-            self.metrics.record_fastpath(len(request.keys))
-        if self.read_only and request.op in (Opcode.INSERT, Opcode.DELETE):
+        with span("protocol_copy", self.metrics):
+            # Materialise the column in native byte order.  On a
+            # little-endian host the wire dtype *is* the native dtype,
+            # so this is a no-op view — the span keeps the decode-vs-copy
+            # split honest on any architecture.
+            request.keys = np.asarray(request.keys, dtype=np.uint64)
+        self.metrics.record_fastpath(len(request.keys))
+        if self.read_only and request.op in (
+            Opcode.BULK64_INSERT,
+            Opcode.BULK64_DELETE,
+        ):
             raise UnsupportedOperationError(
                 "this node is a read-only replica; send writes to its primary"
             )
@@ -535,16 +535,10 @@ class FilterServer:
                 request_id=request_id,
                 deadline=deadline,
             )
-            if request.op == Opcode.QUERY:
-                if request.single:
-                    return encode_frame(Opcode.BOOL, bytes([int(result[0])]))
+            if request.op == Opcode.BULK64_QUERY:
                 return encode_frame(Opcode.BITMAP, pack_bools(result))
             if request.op == Opcode.BULK64_COUNT:
-                return encode_frame(
-                    Opcode.COUNTS64,
-                    pack_counts64(result),
-                    version=PROTOCOL_VERSION_BULK64,
-                )
+                return encode_frame(Opcode.COUNTS64, pack_counts64(result))
             if self.replication is not None:
                 # The WAL holds the record (result is its sequence number);
                 # the ack mode decides whether holding it locally is enough.
@@ -693,9 +687,13 @@ class FilterServer:
                 f"replica; this node is a {self.role}"
             )
         if opcode == Opcode.REPLICATE:
-            seq, op, keys = decode_replicate_body(body)
+            record, end = decode_record(body)
+            if end != len(body):
+                raise ProtocolError(
+                    f"{len(body) - end} trailing bytes after replicate keys"
+                )
             applied = await self.batcher.run(
-                lambda: self._apply_replicated(seq, op, keys)
+                lambda: self._apply_replicated(record)
             )
             return encode_frame(Opcode.ACK, encode_ack_body(applied))
         # REPL_SNAPSHOT: install the primary's full state.
@@ -717,56 +715,23 @@ class FilterServer:
         )
         return encode_frame(Opcode.ACK, encode_ack_body(seq))
 
-    _MIG_APPLY_OPS = (
-        Opcode.MIG_INSERT,
-        Opcode.MIG_DELETE,
-        Opcode.MIG_INSERT64,
-        Opcode.MIG_DELETE64,
-    )
-
-    def _apply_replicated(self, seq: int, op: Opcode, keys) -> int:
+    def _apply_replicated(self, record: WalRecord) -> int:
         """Apply one replicated record (on the batcher's worker thread).
 
         Records at or below the local WAL head are duplicates from a
         reconnect replay and are acknowledged without re-applying, which
-        makes the stream idempotent.  Columnar records (BULK64_*) carry
-        a pre-encoded u64 column and apply without re-hashing, so the
-        replica's filter state stays byte-identical to the primary's.
+        makes the stream idempotent.  The record is logged, then applied
+        by :func:`~repro.service.batching.apply_record` — the same rule
+        crash recovery replays with — so the replica's filter state
+        stays byte-identical to the primary's.
         """
-        if seq <= self.wal.last_seq:
+        if record.seq <= self.wal.last_seq:
             return self.wal.last_seq
-        self.wal.append(op, keys, seq=seq)
+        self.wal.append(
+            record.op, record.keys, seq=record.seq, header=record.header
+        )
         self.wal.sync_batch()
-        if op in self._MIG_APPLY_OPS:
-            # A primary's migration applies flow to its replicas through
-            # the ordinary stream.  keys[0] is the plan header; the real
-            # keys apply one at a time so a per-key counter error skips
-            # the same key the primary skipped.  The *64 flavours carry
-            # 8-byte packings of pre-encoded u64 keys.
-            insert_like = op in (Opcode.MIG_INSERT, Opcode.MIG_INSERT64)
-            packed = op in (Opcode.MIG_INSERT64, Opcode.MIG_DELETE64)
-            for key in keys[1:]:
-                column = (
-                    np.frombuffer(key, dtype="<u8") if packed else [key]
-                )
-                try:
-                    if insert_like:
-                        self.filter.insert_many(column)
-                    else:
-                        self.filter.delete_many(column)
-                except ReproError:
-                    pass
-            return self.wal.last_seq
-        try:
-            if op in (Opcode.INSERT, Opcode.BULK64_INSERT):
-                self.filter.insert_many(keys)
-            else:
-                self.filter.delete_many(keys)
-        except ReproError:
-            # Deterministic on replay: the primary hit the same error
-            # against the same state and kept the record; skipping keeps
-            # the replica byte-identical to the primary.
-            pass
+        apply_record(self.filter, record)
         return self.wal.last_seq
 
     def _install_replication_snapshot(self, seq: int, blob: bytes) -> None:

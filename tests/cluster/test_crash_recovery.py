@@ -17,15 +17,13 @@ from pathlib import Path
 
 import pytest
 
-import json
-
 from tests.conftest import spawn_cli_daemon
 
 from repro.cluster.node import WalSnapshotManager, recover_node
 from repro.cluster.wal import WriteAheadLog
 from repro.filters.factory import FilterSpec, build_filter
 from repro.serialize import dump_filter
-from repro.service.client import FilterClient
+from repro.service.client import FilterClient, wire_keys
 from repro.service.protocol import Opcode
 from repro.service.snapshot import snapshot_wal_seq, write_snapshot
 
@@ -121,7 +119,7 @@ class TestCrashRecovery:
         keys = [b"embed-%d" % i for i in range(5)]
         filt.insert_many(keys)
         for key in keys:
-            wal.append(Opcode.INSERT, [key])
+            wal.append(Opcode.BULK64_INSERT, wire_keys([key]))
         manager = WalSnapshotManager(filt, tmp_path / "n.snap", wal)
         report = manager.save_now()
         wal.close()
@@ -136,28 +134,6 @@ class TestCrashRecovery:
         assert recovery.replayed_records == 0
         assert all(recovery.filter.query_many(keys))
 
-    def test_legacy_meta_sidecar_still_recovers(self, tmp_path):
-        # Dumps from before the embedded trailer recorded the sequence
-        # in a <path>.meta sidecar; recovery must still honour it.
-        filt = make_filter()
-        wal = WriteAheadLog(tmp_path / "wal")
-        keys = [b"legacy-%d" % i for i in range(5)]
-        for key in keys:
-            wal.append(Opcode.INSERT, [key])
-        filt.insert_many(keys[:3])
-        write_snapshot(filt, tmp_path / "n.snap")  # plain MPCK, no seq
-        (tmp_path / "n.snap.meta").write_text(
-            json.dumps({"wal_seq": 3}), "utf-8"
-        )
-        wal.close()
-        recovery = recover_node(
-            make_filter, wal_dir=tmp_path / "wal",
-            snapshot_path=tmp_path / "n.snap",
-        )
-        assert recovery.snapshot_seq == 3
-        assert recovery.replayed_records == 2
-        assert all(recovery.filter.query_many(keys))
-
     def test_snapshot_ahead_of_wal_supersedes_stale_records(self, tmp_path):
         # The crash window of a replication state transfer: the snapshot
         # (covering seq 10) hit disk but reset_to never ran, so the WAL
@@ -165,7 +141,7 @@ class TestCrashRecovery:
         # by the snapshot; recovery must drop them, not replay them.
         stale = WriteAheadLog(tmp_path / "wal")
         for i in range(4):
-            stale.append(Opcode.INSERT, [b"stale-%d" % i])
+            stale.append(Opcode.BULK64_INSERT, wire_keys([b"stale-%d" % i]))
         stale.close()
         donor = make_filter()
         donor.insert_many([b"xfer-%d" % i for i in range(50)])

@@ -11,19 +11,20 @@ from repro.cluster.replication import AckMode, ReplicationManager
 from repro.cluster.wal import WriteAheadLog
 from repro.errors import ConfigurationError
 from repro.filters.factory import FilterSpec, build_filter
-from repro.service.client import AsyncFilterClient
+from repro.service.client import AsyncFilterClient, wire_keys
 from repro.service.protocol import (
     ErrorCode,
     Opcode,
     ProtocolError,
+    WalRecord,
     decode_ack_body,
     decode_error_body,
+    decode_record,
     decode_repl_snapshot_body,
-    decode_replicate_body,
     encode_ack_body,
     encode_frame,
+    encode_record,
     encode_repl_snapshot_body,
-    encode_replicate_body,
     read_frame,
 )
 from repro.service.snapshot import snapshot_bytes
@@ -46,9 +47,16 @@ def build(seed=7):
 
 class TestCodecs:
     def test_replicate_roundtrip(self):
-        body = encode_replicate_body(42, Opcode.INSERT, [b"alpha", b"", b"beta"])
-        seq, op, keys = decode_replicate_body(body)
-        assert (seq, op, keys) == (42, Opcode.INSERT, [b"alpha", b"", b"beta"])
+        keys = wire_keys([b"alpha", b"", b"beta"])
+        body = encode_record(WalRecord(42, Opcode.BULK64_INSERT, keys))
+        record, end = decode_record(body)
+        assert end == len(body)
+        assert (record.seq, record.op, record.header) == (
+            42,
+            Opcode.BULK64_INSERT,
+            b"",
+        )
+        assert record.keys.tolist() == keys.tolist()
 
     def test_ack_roundtrip_and_strictness(self):
         assert decode_ack_body(encode_ack_body(2**40)) == 2**40
@@ -141,7 +149,7 @@ class TestStreaming:
             keys = [b"early-%d" % i for i in range(100)]
             primary_rec.filter.insert_many(keys)
             for key in keys:
-                primary_rec.wal.append(Opcode.INSERT, [key])
+                primary_rec.wal.append(Opcode.BULK64_INSERT, wire_keys([key]))
             replica_rec = recover_node(build, wal_dir=tmp_path / "wal-r")
             replica = build_node_server(replica_rec, read_only=True)
             await replica.start()
@@ -269,7 +277,11 @@ class TestReplicationSafety:
             opcode, body = await send_frame(
                 primary.port,
                 Opcode.REPLICATE,
-                encode_replicate_body(before + 1, Opcode.INSERT, [b"inject"]),
+                encode_record(
+                    WalRecord(
+                        before + 1, Opcode.BULK64_INSERT, wire_keys([b"inject"])
+                    )
+                ),
             )
             assert opcode == Opcode.ERROR
             assert decode_error_body(body)[0] == ErrorCode.UNSUPPORTED
@@ -348,7 +360,11 @@ class TestReplicationSafety:
             writer.write(
                 encode_frame(
                     Opcode.REPLICATE,
-                    encode_replicate_body(51, Opcode.INSERT, [b"after-snap"]),
+                    encode_record(
+                        WalRecord(
+                            51, Opcode.BULK64_INSERT, wire_keys([b"after-snap"])
+                        )
+                    ),
                 )
             )
             await writer.drain()
@@ -386,7 +402,7 @@ class TestAppendHookLifecycle:
             manager2.start()
             await manager2.stop()
             assert wal.on_append is hook
-            wal.append(Opcode.INSERT, [b"x"])
+            wal.append(Opcode.BULK64_INSERT, wire_keys([b"x"]))
             assert seen == [1]  # chained exactly once, then restored
             wal.close()
 
@@ -403,6 +419,6 @@ class TestAppendHookLifecycle:
             await asyncio.sleep(0)  # let the link task spin up
 
         asyncio.run(main())
-        wal.append(Opcode.INSERT, [b"after-close"])
+        wal.append(Opcode.BULK64_INSERT, wire_keys([b"after-close"]))
         assert wal.last_seq == 1
         wal.close()

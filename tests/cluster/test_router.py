@@ -17,7 +17,7 @@ from repro.cluster.router import (
 )
 from repro.errors import ClusterError, ConfigurationError
 from repro.filters.factory import FilterSpec, build_filter
-from repro.service.client import AsyncFilterClient
+from repro.service.client import AsyncFilterClient, wire_keys
 from repro.service.server import FilterServer
 
 
@@ -66,7 +66,7 @@ def ring_of(names, vnodes=64):
 class TestHashRing:
     def test_lookup_is_deterministic_and_total(self):
         ring = ring_of(["a", "b", "c"])
-        keys = [b"key-%d" % i for i in range(1000)]
+        keys = wire_keys([b"key-%d" % i for i in range(1000)]).tolist()
         first = [ring.lookup(k).name for k in keys]
         second = [ring.lookup(k).name for k in keys]
         assert first == second
@@ -74,7 +74,7 @@ class TestHashRing:
 
     def test_vnodes_balance_load(self):
         ring = ring_of(["a", "b", "c", "d"], vnodes=128)
-        keys = [b"bal-%d" % i for i in range(4000)]
+        keys = wire_keys([b"bal-%d" % i for i in range(4000)]).tolist()
         counts = {name: 0 for name in "abcd"}
         for key in keys:
             counts[ring.lookup(key).name] += 1
@@ -86,7 +86,7 @@ class TestHashRing:
     def test_adding_a_group_moves_a_minority_of_keys(self):
         before = ring_of(["a", "b", "c"])
         after = ring_of(["a", "b", "c", "d"])
-        keys = [b"move-%d" % i for i in range(2000)]
+        keys = wire_keys([b"move-%d" % i for i in range(2000)]).tolist()
         moved = sum(
             1
             for k in keys
@@ -149,6 +149,28 @@ class TestRouterFanout:
             ]
             assert 0 < node_a_inserts < len(members)
             assert server_role(router) == "router"
+            # Every surface places a key by the same rule: what one
+            # wrote, each of the others finds.
+            cluster = ClusterClient(
+                [
+                    f"a=127.0.0.1:{node_a.port}",
+                    f"b=127.0.0.1:{node_b.port}",
+                ],
+                vnodes=32,
+            )
+            kept = members[100:]
+            extra = [b"cluster-%d" % i for i in range(200)]
+            try:
+                await asyncio.to_thread(cluster.insert_many, extra)
+                async with AsyncFilterClient(port=router.port) as client:
+                    for keys in (kept, extra):
+                        assert all(await client.query_many(keys))
+                        assert (await client.query_many64(keys)).all()
+                for keys in (kept, extra):
+                    found = await asyncio.to_thread(cluster.query_many, keys)
+                    assert int(sum(found)) == len(keys)
+            finally:
+                cluster.close()
             await router.stop()
             backend.close()
             await node_a.stop()

@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.wal import FsyncPolicy, WriteAheadLog
 from repro.errors import ConfigurationError, WalCorruptionError
+from repro.service.client import wire_keys
 from repro.service.protocol import Opcode
 
 
 def keys_of(i, n=3):
-    return [b"key-%d-%d" % (i, j) for j in range(n)]
+    return wire_keys([b"key-%d-%d" % (i, j) for j in range(n)])
 
 
 class TestAppendReplay:
     def test_sequences_are_contiguous_and_replayable(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        seqs = [wal.append(Opcode.INSERT, keys_of(i)) for i in range(10)]
-        wal.append(Opcode.DELETE, [b"gone"])
+        seqs = [wal.append(Opcode.BULK64_INSERT, keys_of(i)) for i in range(10)]
+        wal.append(Opcode.BULK64_DELETE, wire_keys([b"gone"]))
         wal.close()
         assert seqs == list(range(1, 11))
 
@@ -25,36 +27,37 @@ class TestAppendReplay:
         records = list(wal2.replay())
         assert wal2.last_seq == 11
         assert [r.seq for r in records] == list(range(1, 12))
-        assert records[0].op == Opcode.INSERT
-        assert records[0].keys == tuple(keys_of(0))
-        assert records[-1].op == Opcode.DELETE
-        assert records[-1].keys == (b"gone",)
+        assert records[0].op == Opcode.BULK64_INSERT
+        assert records[0].keys.tolist() == keys_of(0).tolist()
+        assert records[-1].op == Opcode.BULK64_DELETE
+        assert records[-1].keys.tolist() == wire_keys([b"gone"]).tolist()
 
     def test_replay_from_offset(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for i in range(20):
-            wal.append(Opcode.INSERT, keys_of(i))
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
         assert [r.seq for r in wal.replay(start_seq=15)] == [15, 16, 17, 18, 19, 20]
 
     def test_duplicate_seq_is_skipped_and_gap_rejected(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        wal.append(Opcode.INSERT, [b"a"], seq=1)
-        assert wal.append(Opcode.INSERT, [b"a"], seq=1) == 1  # redelivery
+        wal.append(Opcode.BULK64_INSERT, wire_keys([b"a"]), seq=1)
+        # Redelivery of an already-logged sequence is a no-op.
+        assert wal.append(Opcode.BULK64_INSERT, wire_keys([b"a"]), seq=1) == 1
         assert wal.last_seq == 1
         with pytest.raises(WalCorruptionError):
-            wal.append(Opcode.INSERT, [b"c"], seq=5)
+            wal.append(Opcode.BULK64_INSERT, wire_keys([b"c"]), seq=5)
 
     def test_only_mutations_are_loggable(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         with pytest.raises(ConfigurationError):
-            wal.append(Opcode.QUERY, [b"a"])
+            wal.append(Opcode.BULK64_QUERY, wire_keys([b"a"]))
 
 
 class TestCrashRecovery:
     def test_torn_tail_is_truncated_not_fatal(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync=FsyncPolicy.NEVER)
         for i in range(5):
-            wal.append(Opcode.INSERT, keys_of(i))
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
         wal.close()
         segment = wal.segments()[-1]
         data = segment.read_bytes()
@@ -64,13 +67,13 @@ class TestCrashRecovery:
         assert wal2.last_seq == 4
         assert [r.seq for r in wal2.replay()] == [1, 2, 3, 4]
         # The torn bytes are gone: appending continues from seq 5.
-        assert wal2.append(Opcode.INSERT, [b"after"]) == 5
+        assert wal2.append(Opcode.BULK64_INSERT, wire_keys([b"after"])) == 5
         assert [r.seq for r in wal2.replay()] == [1, 2, 3, 4, 5]
 
     def test_midlog_corruption_raises(self, tmp_path):
         wal = WriteAheadLog(tmp_path, segment_bytes=64)
         for i in range(12):
-            wal.append(Opcode.INSERT, keys_of(i))
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
         wal.close()
         first = wal.segments()[0]
         blob = bytearray(first.read_bytes())
@@ -84,14 +87,14 @@ class TestRotationAndCompaction:
     def test_segments_rotate_by_size(self, tmp_path):
         wal = WriteAheadLog(tmp_path, segment_bytes=128)
         for i in range(30):
-            wal.append(Opcode.INSERT, keys_of(i))
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
         assert len(wal.segments()) > 1
         assert [r.seq for r in wal.replay()] == list(range(1, 31))
 
     def test_truncate_through_drops_covered_segments(self, tmp_path):
         wal = WriteAheadLog(tmp_path, segment_bytes=128)
         for i in range(30):
-            wal.append(Opcode.INSERT, keys_of(i))
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
         before = len(wal.segments())
         removed = wal.truncate_through(wal.last_seq)
         assert removed > 0
@@ -101,23 +104,23 @@ class TestRotationAndCompaction:
         tail = [r.seq for r in wal.replay(start_seq=wal.first_seq)]
         assert tail == list(range(wal.first_seq, wal.last_seq + 1))
         # Appends keep working after compaction.
-        assert wal.append(Opcode.INSERT, [b"next"]) == 31
+        assert wal.append(Opcode.BULK64_INSERT, wire_keys([b"next"])) == 31
 
     def test_reset_to_discards_history(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for i in range(5):
-            wal.append(Opcode.INSERT, keys_of(i))
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
         wal.reset_to(40)
         assert wal.last_seq == 40
         assert list(wal.replay()) == []
-        assert wal.append(Opcode.INSERT, [b"x"]) == 41
+        assert wal.append(Opcode.BULK64_INSERT, wire_keys([b"x"])) == 41
 
 
 class TestRead:
     def test_cursor_tails_across_segments(self, tmp_path):
         wal = WriteAheadLog(tmp_path, segment_bytes=128)
         for i in range(10):
-            wal.append(Opcode.INSERT, keys_of(i))
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
         got, cursor = wal.read(1, max_records=4)
         assert [r.seq for r in got] == [1, 2, 3, 4]
         collected = [r.seq for r in got]
@@ -128,19 +131,19 @@ class TestRead:
             collected.extend(r.seq for r in got)
         assert collected == list(range(1, 11))
         # New appends become visible to the same cursor.
-        wal.append(Opcode.INSERT, [b"live"])
+        wal.append(Opcode.BULK64_INSERT, wire_keys([b"live"]))
         got, cursor = wal.read(11, cursor=cursor)
         assert [r.seq for r in got] == [11]
 
     def test_fsync_policy_counters(self, tmp_path):
         always = WriteAheadLog(tmp_path / "a", fsync=FsyncPolicy.ALWAYS)
         for i in range(5):
-            always.append(Opcode.INSERT, [b"k%d" % i])
+            always.append(Opcode.BULK64_INSERT, wire_keys([b"k%d" % i]))
         assert always.fsyncs_total == 5
 
         batch = WriteAheadLog(tmp_path / "b", fsync=FsyncPolicy.BATCH)
         for i in range(5):
-            batch.append(Opcode.INSERT, [b"k%d" % i])
+            batch.append(Opcode.BULK64_INSERT, wire_keys([b"k%d" % i]))
         assert batch.fsyncs_total == 0
         batch.sync_batch()
         assert batch.fsyncs_total == 1
@@ -149,7 +152,7 @@ class TestRead:
 
     def test_describe_shape(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        wal.append(Opcode.INSERT, [b"a"])
+        wal.append(Opcode.BULK64_INSERT, wire_keys([b"a"]))
         desc = wal.describe()
         assert desc["last_seq"] == 1
         assert desc["segments"] == 1
@@ -158,14 +161,12 @@ class TestRead:
 
 
 class TestColumnarRecords:
-    """BULK64 records round-trip as u64 columns, interleaved with legacy."""
+    """Records round-trip as u64 columns; migration records keep their
+    plan header in front of the column."""
 
     def test_columnar_round_trip_and_replay(self, tmp_path):
-        import numpy as np
-
         column = np.array([1, 2**40, 2**64 - 1], dtype=np.uint64)
         wal = WriteAheadLog(tmp_path)
-        wal.append(Opcode.INSERT, [b"legacy-a", b"legacy-b"])
         wal.append(Opcode.BULK64_INSERT, column)
         wal.append(Opcode.BULK64_DELETE, column[:2])
         wal.sync()
@@ -173,26 +174,19 @@ class TestColumnarRecords:
         reopened = WriteAheadLog(tmp_path)
         records = list(reopened.replay())
         assert [r.op for r in records] == [
-            Opcode.INSERT,
             Opcode.BULK64_INSERT,
             Opcode.BULK64_DELETE,
         ]
-        assert records[0].keys == (b"legacy-a", b"legacy-b")
-        assert isinstance(records[1].keys, np.ndarray)
-        assert np.array_equal(records[1].keys, column)
-        assert np.array_equal(records[2].keys, column[:2])
+        assert all(r.header == b"" for r in records)
+        assert np.array_equal(records[0].keys, column)
+        assert np.array_equal(records[1].keys, column[:2])
 
     def test_mig64_records_keep_header_and_packed_keys(self, tmp_path):
-        import numpy as np
-
-        packed = [int(v).to_bytes(8, "little") for v in (7, 9, 11)]
+        column = np.array([7, 9, 11], dtype=np.uint64)
         wal = WriteAheadLog(tmp_path)
-        wal.append(Opcode.MIG_INSERT64, [b"header-blob", *packed])
+        wal.append(Opcode.MIG_INSERT64, column, header=b"header-blob")
         wal.sync()
         [record] = list(WriteAheadLog(tmp_path).replay())
         assert record.op == Opcode.MIG_INSERT64
-        assert record.keys[0] == b"header-blob"
-        assert np.array_equal(
-            np.frombuffer(b"".join(record.keys[1:]), dtype="<u8"),
-            np.array([7, 9, 11], dtype=np.uint64),
-        )
+        assert record.header == b"header-blob"
+        assert np.array_equal(record.keys, column)

@@ -21,8 +21,8 @@ from repro.service.protocol import (
 
 class TestDeadlineBody:
     def test_round_trip(self):
-        body = encode_deadline_body(12_345, Opcode.QUERY, b"payload")
-        assert decode_deadline_body(body) == (12_345, Opcode.QUERY, b"payload")
+        body = encode_deadline_body(12_345, Opcode.BULK64_QUERY, b"payload")
+        assert decode_deadline_body(body) == (12_345, Opcode.BULK64_QUERY, b"payload")
 
     def test_budget_clamps_to_u32(self):
         body = encode_deadline_body(MAX_BUDGET_US + 99, Opcode.PING, b"")
@@ -31,7 +31,7 @@ class TestDeadlineBody:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ProtocolError):
-            encode_deadline_body(-1, Opcode.QUERY, b"")
+            encode_deadline_body(-1, Opcode.BULK64_QUERY, b"")
 
     def test_nesting_rejected_on_encode(self):
         with pytest.raises(ProtocolError, match="nest"):

@@ -36,9 +36,15 @@ from repro.filters.factory import FilterSpec, build_filter
 from repro.rebalance.coordinator import Coordinator
 from repro.rebalance.epochs import RingEpoch, hash_key
 from repro.serialize import dump_filter
+from repro.service.client import wire_keys
 from repro.service.protocol import RemoteError
 
 VNODES = 32
+
+
+def position(key: bytes) -> int:
+    """A byte key's ring position: the hash of its wire key."""
+    return hash_key(int(wire_keys([key])[0]))
 
 
 def build():
@@ -121,7 +127,7 @@ class TestReshardingAcceptance:
                 while not stop.is_set():
                     key = b"live-%06d" % n
                     n += 1
-                    if ring1.owner_at(hash_key(key)) == kill_name:
+                    if ring1.owner_at(position(key)) == kill_name:
                         continue
                     try:
                         tc.insert(key)
@@ -193,7 +199,7 @@ class TestReshardingAcceptance:
         ring2 = epoch2.ring()
         owned: dict[str, list[bytes]] = {name: [] for name in servers}
         for key in multiset:
-            owned[ring2.owner_at(hash_key(key))].append(key)
+            owned[ring2.owner_at(position(key))].append(key)
         assert owned["g3"], "the newcomer must own part of the workload"
         for name, srv in servers.items():
             oracle = build()

@@ -14,6 +14,7 @@ from repro.rebalance.epochs import (
     hash_key,
 )
 from repro.cluster.router import NodeAddress, ShardGroup
+from repro.service.client import wire_keys
 
 
 def group(name: str, port: int) -> ShardGroup:
@@ -75,7 +76,7 @@ class TestRingEpoch:
     def test_ring_matches_group_membership(self):
         epoch = epoch_of("a", "b", "c")
         ring = epoch.ring()
-        for key in (b"x", b"hello", b"key-123"):
+        for key in wire_keys([b"x", b"hello", b"key-123"]).tolist():
             assert ring.owner_at(hash_key(key)) in {"a", "b", "c"}
 
 
@@ -152,7 +153,7 @@ class TestComputeMoves:
         # Sampled ownership agrees with the declared moves.
         ranges = KeyRangeSet(tuple(m.range for m in moves))
         ring_old, ring_new = old.ring(), new.ring()
-        for key in [b"k-%d" % i for i in range(512)]:
+        for key in wire_keys([b"k-%d" % i for i in range(512)]).tolist():
             pos = hash_key(key)
             if ranges.contains(pos):
                 assert ring_new.owner_at(pos) == "d"

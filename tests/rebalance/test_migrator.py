@@ -8,6 +8,7 @@ oracles built from only the keys each side owns under the new epoch.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.router import NodeAddress, ShardGroup
@@ -22,7 +23,8 @@ from repro.rebalance.epochs import (
 )
 from repro.rebalance.migrator import RebalanceState
 from repro.serialize import dump_filter
-from repro.service.protocol import Opcode
+from repro.service.client import wire_keys
+from repro.service.protocol import Opcode, WalRecord
 
 
 def make_filter(seed: int = 5):
@@ -49,14 +51,24 @@ def make_state(tmp_path, name: str, group: str) -> RebalanceState:
     return RebalanceState(make_filter(), wal=wal, group=group)
 
 
-def write(state: RebalanceState, op: Opcode, keys: list[bytes]) -> int:
+def col(keys: list[int]) -> np.ndarray:
+    return np.array(keys, dtype=np.uint64)
+
+
+def wire(fmt: bytes, n: int) -> list[int]:
+    """``n`` wire keys ``fmt % i``, as Python ints."""
+    return wire_keys([fmt % i for i in range(n)]).tolist()
+
+
+def write(state: RebalanceState, op: Opcode, keys: list[int]) -> int:
     """One client mutation the way the server applies it: gate, log, apply."""
-    state.gate(op, keys)
-    seq = state.wal.append(op, keys)
-    if op == Opcode.INSERT:
-        state.filter.insert_many(keys)
+    column = col(keys)
+    state.gate(op, column)
+    seq = state.wal.append(op, column)
+    if op == Opcode.BULK64_INSERT:
+        state.filter.insert_many(column)
     else:
-        state.filter.delete_many(keys)
+        state.filter.delete_many(column)
     return seq
 
 
@@ -89,7 +101,7 @@ class TestMigrationEngine:
 
         mine = [k for k in keys if e1.ring().owner_at(hash_key(k)) == "a"]
         for key in mine:
-            write(src, Opcode.INSERT, [key])
+            write(src, Opcode.BULK64_INSERT, [key])
 
         plan = "join-v1-v2-a-c"
         dst.begin_destination(plan, "c", e1.to_bytes())
@@ -99,7 +111,7 @@ class TestMigrationEngine:
         # Writes racing the stream, then the fence + final drain.
         for key in churn:
             if e1.ring().owner_at(hash_key(key)) == "a":
-                write(src, Opcode.INSERT, [key])
+                write(src, Opcode.BULK64_INSERT, [key])
                 mine.append(key)
         fence_seq = src.fence(plan)["fence_seq"]
         scan = pump(src, dst, plan, scan)
@@ -112,8 +124,8 @@ class TestMigrationEngine:
         return src, dst, ranges, (e1, e2), mine
 
     def test_stream_fence_commit_is_oracle_identical(self, tmp_path):
-        keys = [b"key-%04d" % i for i in range(600)]
-        churn = [b"late-%04d" % i for i in range(60)]
+        keys = wire(b"key-%04d", 600)
+        churn = wire(b"late-%04d", 60)
         src, dst, ranges, (e1, e2), mine = self.run_migration(
             tmp_path, keys, churn
         )
@@ -123,16 +135,16 @@ class TestMigrationEngine:
         assert moved and kept, "need traffic on both sides of the arcs"
 
         oracle_src = make_filter()
-        oracle_src.insert_many(kept)
+        oracle_src.insert_many(col(kept))
         oracle_dst = make_filter()
-        oracle_dst.insert_many(moved)
+        oracle_dst.insert_many(col(moved))
         assert dump_filter(src.filter) == dump_filter(oracle_src)
         assert dump_filter(dst.filter) == dump_filter(oracle_dst)
         assert src.epoch.version == 2 and dst.epoch.version == 2
 
     def test_destination_crash_recovery_deduplicates(self, tmp_path):
         src, dst, ranges, (e1, e2), mine = self.run_migration(
-            tmp_path, [b"key-%04d" % i for i in range(200)]
+            tmp_path, wire(b"key-%04d", 200)
         )
         # A destination rebuilt from its own WAL rediscovers the cursor
         # and acks duplicates without reapplying them.
@@ -141,13 +153,13 @@ class TestMigrationEngine:
         resp = rebuilt.begin_destination(plan, "c", b"")
         assert resp["cursor"] > 0
         replayed = rebuilt.apply_records(
-            plan, [(1, Opcode.INSERT, [b"key-0000"])]
+            plan, [WalRecord(1, Opcode.BULK64_INSERT, wire_keys([b"key-0000"]))]
         )
         assert replayed["applied"] == 0
 
     def test_commit_source_is_idempotent(self, tmp_path):
         src, dst, ranges, (e1, e2), mine = self.run_migration(
-            tmp_path, [b"key-%04d" % i for i in range(200)]
+            tmp_path, wire(b"key-%04d", 200)
         )
         before = dump_filter(src.filter)
         src.commit_source(
@@ -163,7 +175,7 @@ class TestMigrationEngine:
 class TestGate:
     def test_inert_without_epoch(self, tmp_path):
         state = make_state(tmp_path, "n", None)
-        state.gate(Opcode.INSERT, [b"anything"])  # no raise
+        state.gate(Opcode.BULK64_INSERT, wire_keys([b"anything"]))  # no raise
 
     def test_rejects_unowned_keys_with_moved(self, tmp_path):
         e = RingEpoch(
@@ -176,13 +188,13 @@ class TestGate:
         ring = e.ring()
         theirs = next(
             k
-            for k in (b"k-%d" % i for i in range(500))
+            for k in wire(b"k-%d", 500)
             if ring.owner_at(hash_key(k)) == "b"
         )
         with pytest.raises(MovedError):
-            state.gate(Opcode.INSERT, [theirs])
+            state.gate(Opcode.BULK64_INSERT, col([theirs]))
         with pytest.raises(MovedError):
-            state.gate(Opcode.QUERY, [theirs])
+            state.gate(Opcode.BULK64_QUERY, col([theirs]))
         assert state.counters["moved_rejections"] == 2
 
     def test_fenced_range_rejects_writes_not_reads(self, tmp_path):
@@ -196,15 +208,15 @@ class TestGate:
         ring = e.ring()
         mine = next(
             k
-            for k in (b"k-%d" % i for i in range(500))
+            for k in wire(b"k-%d", 500)
             if ring.owner_at(hash_key(k)) == "a"
         )
         whole_ring = KeyRangeSet.from_json([{"start": 0, "end": 0}])
         state.begin_source("p", whole_ring, 1)
         state.fence("p")
         with pytest.raises(WrongEpochError):
-            state.gate(Opcode.INSERT, [mine])
-        state.gate(Opcode.QUERY, [mine])  # reads stay open while fenced
+            state.gate(Opcode.BULK64_INSERT, col([mine]))
+        state.gate(Opcode.BULK64_QUERY, col([mine]))  # reads stay open while fenced
 
     def test_fence_survives_restart(self, tmp_path):
         e = RingEpoch(
@@ -225,18 +237,18 @@ class TestGate:
         assert reborn.holds_wal()
         mine = next(
             k
-            for k in (b"k-%d" % i for i in range(500))
+            for k in wire(b"k-%d", 500)
             if e.ring().owner_at(hash_key(k)) == "a"
         )
         with pytest.raises(WrongEpochError):
-            reborn.gate(Opcode.INSERT, [mine])
+            reborn.gate(Opcode.BULK64_INSERT, col([mine]))
 
 
 class TestSourcePreconditions:
     def test_begin_source_requires_retained_history(self, tmp_path):
         state = make_state(tmp_path, "n", "a")
         for i in range(50):
-            state.wal.append(Opcode.INSERT, [b"k-%d" % i])
+            state.wal.append(Opcode.BULK64_INSERT, wire_keys([b"k-%d" % i]))
         state.wal.sync()
         removed = state.wal.truncate_through(40)
         assert removed >= 0

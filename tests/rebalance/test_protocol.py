@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ClusterError, MovedError, WrongEpochError
@@ -12,6 +13,7 @@ from repro.service.protocol import (
     ErrorCode,
     Opcode,
     ProtocolError,
+    WalRecord,
     decode_migrate_apply_body,
     decode_migrate_commit_body,
     decode_migrate_read_resp,
@@ -25,21 +27,36 @@ from repro.service.protocol import (
     error_code_for,
 )
 
+def column(*keys):
+    return np.array(keys, dtype=np.uint64)
+
+
 RECORDS = [
-    (7, Opcode.INSERT, [b"alpha", b"beta"]),
-    (9, Opcode.DELETE, [b"gamma"]),
-    (12, Opcode.MIG_INSERT, [b"header-ish", b"delta"]),
+    WalRecord(7, Opcode.BULK64_INSERT, column(1, 2**64 - 1)),
+    WalRecord(9, Opcode.BULK64_DELETE, column(3)),
+    WalRecord(
+        12,
+        Opcode.MIG_INSERT64,
+        column(4, 5),
+        header=encode_mig_header(7, "join-v1-v2-a-b"),
+    ),
 ]
+
+
+def as_tuples(records):
+    return [(r.seq, r.op, r.keys.tolist(), r.header) for r in records]
 
 
 class TestCodecs:
     def test_migrate_records_roundtrip(self):
         blob = encode_migrate_records(RECORDS)
-        assert decode_migrate_records(blob) == RECORDS
+        assert as_tuples(decode_migrate_records(blob)) == as_tuples(RECORDS)
 
     def test_migrate_records_reject_non_record_ops(self):
         with pytest.raises(ProtocolError):
-            encode_migrate_records([(1, Opcode.QUERY, [b"x"])])
+            encode_migrate_records(
+                [WalRecord(1, Opcode.BULK64_QUERY, column(1))]
+            )
 
     def test_migrate_records_reject_trailing_bytes(self):
         blob = encode_migrate_records(RECORDS) + b"!"
@@ -50,11 +67,13 @@ class TestCodecs:
         blob = encode_migrate_apply_body("join-v1-v2-a-b", RECORDS)
         plan, records = decode_migrate_apply_body(blob)
         assert plan == "join-v1-v2-a-b"
-        assert records == RECORDS
+        assert as_tuples(records) == as_tuples(RECORDS)
 
     def test_read_resp_roundtrip(self):
         blob = encode_migrate_read_resp(41, 97, RECORDS)
-        assert decode_migrate_read_resp(blob) == (41, 97, RECORDS)
+        scanned, last_seq, records = decode_migrate_read_resp(blob)
+        assert (scanned, last_seq) == (41, 97)
+        assert as_tuples(records) == as_tuples(RECORDS)
 
     def test_commit_body_roundtrip(self):
         meta = {"plan": "p", "role": "src", "excise_through": 5}
@@ -74,8 +93,8 @@ class TestCodecs:
 
 class TestWireContract:
     def test_mig_ops_are_record_ops(self):
-        assert Opcode.MIG_INSERT in RECORD_OPS
-        assert Opcode.MIG_DELETE in RECORD_OPS
+        assert Opcode.MIG_INSERT64 in RECORD_OPS
+        assert Opcode.MIG_DELETE64 in RECORD_OPS
 
     def test_rebalance_opcode_set(self):
         assert set(REBALANCE_OPS) == {

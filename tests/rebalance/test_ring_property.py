@@ -66,7 +66,7 @@ def test_join_never_swaps_ownership_between_survivors(n: int, salt: int):
 @given(
     n=st.integers(min_value=1, max_value=6),
     salt=st.integers(0, 1000),
-    keys=st.lists(st.binary(min_size=1, max_size=16), max_size=64),
+    keys=st.lists(st.integers(0, 2**64 - 1), max_size=64),
 )
 @settings(max_examples=40, deadline=None)
 def test_key_ownership_changes_exactly_on_the_moved_arcs(n, salt, keys):

@@ -11,6 +11,7 @@ from repro.errors import CounterUnderflowError, UnsupportedOperationError
 from repro.filters.bloom import BloomFilter
 from repro.filters.cbf import CountingBloomFilter
 from repro.service.batching import FilterExecutor, MicroBatcher
+from repro.service.client import wire_keys
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import Opcode
 
@@ -48,7 +49,7 @@ class TestBatchBounds:
             )
             batcher.start()
             results = await asyncio.gather(
-                *[batcher.submit(Opcode.INSERT, [b"k%d" % i]) for i in range(20)]
+                *[batcher.submit(Opcode.BULK64_INSERT, [b"k%d" % i]) for i in range(20)]
             )
             await batcher.stop()
             return results
@@ -66,7 +67,7 @@ class TestBatchBounds:
             batcher = MicroBatcher(apply, max_batch=8, max_delay_us=50_000)
             batcher.start()
             await asyncio.gather(
-                *[batcher.submit(Opcode.INSERT, [b"a", b"b", b"c"]) for _ in range(10)]
+                *[batcher.submit(Opcode.BULK64_INSERT, [b"a", b"b", b"c"]) for _ in range(10)]
             )
             await batcher.stop()
 
@@ -84,7 +85,7 @@ class TestBatchBounds:
             batcher = MicroBatcher(apply, max_batch=100, max_delay_us=0)
             batcher.start()
             for i in range(5):
-                await batcher.submit(Opcode.QUERY, [b"k%d" % i])
+                await batcher.submit(Opcode.BULK64_QUERY, [b"k%d" % i])
             await batcher.stop()
 
         run(main())
@@ -97,8 +98,8 @@ class TestBatchBounds:
         async def main():
             batcher = MicroBatcher(apply, max_batch=100, max_delay_us=20_000)
             batcher.start()
-            inserts = [batcher.submit(Opcode.INSERT, [b"i%d" % i]) for i in range(3)]
-            queries = [batcher.submit(Opcode.QUERY, [b"q%d" % i]) for i in range(3)]
+            inserts = [batcher.submit(Opcode.BULK64_INSERT, [b"i%d" % i]) for i in range(3)]
+            queries = [batcher.submit(Opcode.BULK64_QUERY, [b"q%d" % i]) for i in range(3)]
             await asyncio.gather(*inserts, *queries)
             await batcher.stop()
 
@@ -107,9 +108,9 @@ class TestBatchBounds:
             kinds = {op}
             assert len(kinds) == 1  # no mixed-op batch
         ops = [op for op, _ in apply.batches]
-        assert Opcode.INSERT in ops and Opcode.QUERY in ops
+        assert Opcode.BULK64_INSERT in ops and Opcode.BULK64_QUERY in ops
         # Arrival order preserved across the op switch.
-        assert ops.index(Opcode.INSERT) < ops.index(Opcode.QUERY)
+        assert ops.index(Opcode.BULK64_INSERT) < ops.index(Opcode.BULK64_QUERY)
 
     def test_delay_bound_caps_added_latency(self):
         apply = RecordingApply()
@@ -119,7 +120,7 @@ class TestBatchBounds:
             batcher.start()
             loop = asyncio.get_running_loop()
             started = loop.time()
-            await batcher.submit(Opcode.QUERY, [b"solo"])
+            await batcher.submit(Opcode.BULK64_QUERY, [b"solo"])
             elapsed = loop.time() - started
             await batcher.stop()
             return elapsed
@@ -137,9 +138,9 @@ class TestErrorIsolation:
         async def main():
             batcher = MicroBatcher(apply, max_batch=100, max_delay_us=20_000)
             batcher.start()
-            good1 = batcher.submit(Opcode.INSERT, [b"ok-1"])
-            bad = batcher.submit(Opcode.INSERT, [b"bad"])
-            good2 = batcher.submit(Opcode.INSERT, [b"ok-2"])
+            good1 = batcher.submit(Opcode.BULK64_INSERT, [b"ok-1"])
+            bad = batcher.submit(Opcode.BULK64_INSERT, [b"bad"])
+            good2 = batcher.submit(Opcode.BULK64_INSERT, [b"ok-2"])
             results = await asyncio.gather(good1, bad, good2, return_exceptions=True)
             await batcher.stop()
             return results
@@ -154,7 +155,7 @@ class TestErrorIsolation:
         cbf.insert(b"present")
         executor = FilterExecutor(cbf)
         results = executor.apply(
-            Opcode.DELETE, [[b"present"], [b"never-inserted"]]
+            Opcode.BULK64_DELETE, [wire_keys([b"present"]), wire_keys([b"never-inserted"])]
         )
         assert results[0] is None
         assert isinstance(results[1], CounterUnderflowError)
@@ -163,13 +164,17 @@ class TestErrorIsolation:
 
     def test_executor_rejects_delete_on_plain_bloom(self):
         executor = FilterExecutor(BloomFilter(1024, 3))
-        results = executor.apply(Opcode.DELETE, [[b"x"], [b"y"]])
+        results = executor.apply(
+            Opcode.BULK64_DELETE, [wire_keys([b"x"]), wire_keys([b"y"])]
+        )
         assert all(isinstance(r, UnsupportedOperationError) for r in results)
 
     def test_fused_mutations_fail_whole_batch(self):
         cbf = CountingBloomFilter(4096, 3, seed=1)
         executor = FilterExecutor(cbf, fuse_mutations=True)
-        results = executor.apply(Opcode.DELETE, [[b"a"], [b"b"]])
+        results = executor.apply(
+            Opcode.BULK64_DELETE, [wire_keys([b"a"]), wire_keys([b"b"])]
+        )
         assert all(isinstance(r, CounterUnderflowError) for r in results)
 
     def test_fused_mutations_reject_a_wal(self, tmp_path):
@@ -195,7 +200,12 @@ class TestExecutorQueries:
         cbf.insert_many([b"m1", b"m2", b"m3"])
         executor = FilterExecutor(cbf)
         results = executor.apply(
-            Opcode.QUERY, [[b"m1", b"u1"], [b"m2"], [b"u2", b"m3", b"u3"]]
+            Opcode.BULK64_QUERY,
+            [
+                wire_keys([b"m1", b"u1"]),
+                wire_keys([b"m2"]),
+                wire_keys([b"u2", b"m3", b"u3"]),
+            ],
         )
         assert [len(r) for r in results] == [2, 1, 3]
         assert results[0].tolist() == [True, False] or results[0][0]
@@ -210,7 +220,7 @@ class TestLifecycle:
         async def main():
             batcher = MicroBatcher(RecordingApply())
             with pytest.raises(RuntimeError, match="not running"):
-                await batcher.submit(Opcode.QUERY, [b"x"])
+                await batcher.submit(Opcode.BULK64_QUERY, [b"x"])
 
         run(main())
 
@@ -221,7 +231,7 @@ class TestLifecycle:
             batcher = MicroBatcher(apply, max_batch=4, max_delay_us=50_000)
             batcher.start()
             futures = [
-                asyncio.ensure_future(batcher.submit(Opcode.INSERT, [b"k%d" % i]))
+                asyncio.ensure_future(batcher.submit(Opcode.BULK64_INSERT, [b"k%d" % i]))
                 for i in range(25)
             ]
             # One loop iteration: every submission enqueues ahead of the
@@ -239,7 +249,7 @@ class TestLifecycle:
             batcher.start()
             await batcher.stop()
             with pytest.raises(RuntimeError):
-                await batcher.submit(Opcode.INSERT, [b"late"])
+                await batcher.submit(Opcode.BULK64_INSERT, [b"late"])
 
         run(main())
 

@@ -1,25 +1,33 @@
-"""Columnar fastpath acceptance: negotiation, differential oracle.
+"""Wire-key acceptance: negotiation, protocol rejection, differential oracle.
 
-The bulk64 wire path must be an *optimisation*, never a semantic fork:
-a workload driven entirely over BULK64 frames, entirely over legacy
-frames, or mixed across both on one server must leave byte-identical
-filter state and give identical answers.  Client-side key encoding
-makes that non-trivial — the tests here pin that the client's encoder
-agrees with the server's, end to end over a real socket.
+Every keyed request travels as a column of client-encoded u64 wire
+keys.  That must be an encoding, never a semantic fork: a workload
+driven over the wire must leave filter state byte-identical to an
+in-process filter fed the same byte keys (which encodes them itself),
+and give identical answers.  The tests here pin that the client's
+encoder agrees with the filters' default encoder, end to end over a
+real socket.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
+import struct
 
 import numpy as np
-import pytest
 
-from repro.errors import UnsupportedOperationError
 from repro.filters.factory import FilterSpec, build_filter
 from repro.parallel.sharded import ShardedFilterBank
 from repro.service.client import AsyncFilterClient, FilterClient
-from repro.service.protocol import FEATURE_BULK64, PROTOCOL_VERSION_BULK64
+from repro.service.protocol import (
+    FEATURE_BULK64,
+    PROTOCOL_VERSION,
+    ErrorCode,
+    FrameDecoder,
+    Opcode,
+    decode_error_body,
+)
 from repro.service.server import FilterServer
 from repro.service.snapshot import snapshot_bytes
 
@@ -51,6 +59,19 @@ DEAD = KEYS[150:]
 ABSENT = [b"fp-missing-%d" % i for i in range(200)]
 
 
+def _raw_exchange(port: int, payload: bytes) -> tuple[Opcode, bytes]:
+    """Send one raw payload (version + opcode + body) and read one frame."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(struct.pack("<I", len(payload)) + payload)
+        decoder = FrameDecoder()
+        while True:
+            for frame in decoder.frames():
+                return frame
+            chunk = sock.recv(65536)
+            assert chunk, "server hung up without answering"
+            decoder.feed(chunk)
+
+
 class TestNegotiation:
     def test_hello_reports_bulk64(self):
         async def main():
@@ -64,7 +85,7 @@ class TestNegotiation:
             return version, features, supported
 
         version, features, supported = run(main())
-        assert version == PROTOCOL_VERSION_BULK64
+        assert version == PROTOCOL_VERSION
         assert features & FEATURE_BULK64
         assert supported
 
@@ -80,147 +101,125 @@ class TestNegotiation:
             return version, features, supported
 
         version, features, supported = run(main())
-        assert version == PROTOCOL_VERSION_BULK64
+        assert version == PROTOCOL_VERSION
         assert features & FEATURE_BULK64
         assert supported
 
-    def test_downgrade_falls_back_to_legacy_frames(self):
-        """A client that negotiated no bulk64 still serves byte keys."""
+    def test_removed_opcodes_and_versions_answer_protocol_error(self):
+        """The byte-key frames (0x02-0x05) and any version byte but
+        PROTOCOL_VERSION draw a PROTOCOL error frame; the daemon keeps
+        serving."""
 
         async def main():
             server = await start_server(make_bank())
+            payloads = [
+                struct.pack("<BB", PROTOCOL_VERSION, raw_op) + b"key"
+                for raw_op in (0x02, 0x03, 0x04, 0x05)
+            ] + [
+                struct.pack("<BB", version, Opcode.PING)
+                for version in (0, 2, 255)
+            ]
             try:
-                with FilterClient(port=server.port) as client:
-                    client._bulk64 = False  # simulate a v1-only server
-                    await asyncio.to_thread(client.insert_many64, KEYS[:10])
-                    hits = await asyncio.to_thread(
-                        client.query_many64, KEYS[:10]
+                replies = [
+                    await asyncio.to_thread(
+                        _raw_exchange, server.port, payload
                     )
-            finally:
-                await server.stop()
-            return hits
-
-        assert np.asarray(run(main()), dtype=bool).all()
-
-    def test_downgrade_rejects_preencoded_columns(self):
-        """u64 columns cannot be replayed as byte keys — fail loudly."""
-
-        async def main():
-            server = await start_server(make_bank())
-            try:
+                    for payload in payloads
+                ]
                 with FilterClient(port=server.port) as client:
-                    client._bulk64 = False
-                    column = np.arange(4, dtype=np.uint64)
-                    try:
-                        await asyncio.to_thread(client.insert_many64, column)
-                    except UnsupportedOperationError:
-                        return True
-                    return False
+                    alive = await asyncio.to_thread(client.ping)
             finally:
                 await server.stop()
+            return replies, alive
 
-        assert run(main())
+        replies, alive = run(main())
+        for opcode, body in replies:
+            assert opcode == Opcode.ERROR
+            assert decode_error_body(body)[0] == ErrorCode.PROTOCOL
+        assert alive
 
 
 class TestDifferentialOracle:
-    """Same workload, different wire paths, identical filter state."""
+    """Wire ops against an in-process filter fed the same byte keys."""
 
-    def _drive_legacy(self, port):
+    @staticmethod
+    def _oracle():
+        bank = make_bank()
+        bank.insert_many(KEYS)
+        bank.insert_many(KEYS[:50])  # duplicates: counter depth
+        bank.delete_many(DEAD)
+        return bank
+
+    def _drive(self, port):
         with FilterClient(port=port) as client:
             client.insert_many(KEYS)
-            client.insert_many(KEYS[:50])  # duplicates: counter depth
+            client.insert_many64(KEYS[:49])
+            client.insert(KEYS[49])
             client.delete_many(DEAD)
             members = client.query_many(KEYS[:150])
-            ghosts = client.query_many(ABSENT)
-        return np.asarray(members, bool), np.asarray(ghosts, bool)
-
-    def _drive_bulk64(self, port):
-        with FilterClient(port=port) as client:
-            assert client.bulk64_supported()
-            client.insert_many64(KEYS)
-            client.insert_many64(KEYS[:50])
-            client.delete_many64(DEAD)
-            members = client.query_many64(KEYS[:150])
             ghosts = client.query_many64(ABSENT)
-        return np.asarray(members, bool), np.asarray(ghosts, bool)
+            point = [client.query(key) for key in (KEYS[0], DEAD[0])]
+        return members, ghosts, point
 
     def test_bulk64_and_legacy_state_byte_identical(self):
+        """BULK64 frames vs the legacy in-process path, where the filter
+        encodes the byte keys itself."""
+
         async def main():
-            legacy_server = await start_server(make_bank())
-            bulk_server = await start_server(make_bank())
+            server = await start_server(make_bank())
             try:
-                legacy = await asyncio.to_thread(
-                    self._drive_legacy, legacy_server.port
-                )
-                bulk = await asyncio.to_thread(
-                    self._drive_bulk64, bulk_server.port
-                )
-                blobs = (
-                    snapshot_bytes(legacy_server.filter),
-                    snapshot_bytes(bulk_server.filter),
-                )
+                answers = await asyncio.to_thread(self._drive, server.port)
+                blob = snapshot_bytes(server.filter)
                 stats = await asyncio.to_thread(
-                    lambda: FilterClient(port=bulk_server.port).stats()
+                    lambda: FilterClient(port=server.port).stats()
                 )
             finally:
-                await legacy_server.stop()
-                await bulk_server.stop()
-            return legacy, bulk, blobs, stats
+                await server.stop()
+            return answers, blob, stats
 
-        (legacy, bulk, (legacy_blob, bulk_blob), stats) = run(main())
-        assert np.array_equal(legacy[0], bulk[0])
-        assert np.array_equal(legacy[1], bulk[1])
-        assert legacy[0].all()  # no false negatives on either path
-        assert legacy_blob == bulk_blob  # zero state divergence
+        (members, ghosts, point), blob, stats = run(main())
+        oracle = self._oracle()
+        assert members.dtype == bool and ghosts.dtype == bool
+        assert np.array_equal(members, oracle.query_many(KEYS[:150]))
+        assert np.array_equal(ghosts, oracle.query_many(ABSENT))
+        assert members.all()  # no false negatives
+        assert point == [True, bool(oracle.query(DEAD[0]))]
+        assert blob == snapshot_bytes(oracle)  # zero state divergence
         assert stats["fastpath"]["frames"] > 0
         assert stats["fastpath"]["keys"] >= len(KEYS)
 
     def test_mixed_clients_one_server_match_legacy_oracle(self):
-        """Legacy and bulk64 clients interleaved on one server converge
-        on the same state a legacy-only server reaches."""
+        """Two clients interleaving str/bytes keys, batch and point ops,
+        on one server converge on the legacy oracle's state: an
+        in-process filter fed the same byte keys."""
 
         async def main():
-            mixed_server = await start_server(make_bank())
-            oracle_server = await start_server(make_bank())
+            server = await start_server(make_bank())
             try:
                 def mixed_traffic(port):
-                    with FilterClient(port=port) as legacy_client, \
-                            FilterClient(port=port) as bulk_client:
-                        legacy_client.insert_many(KEYS[:100])
-                        bulk_client.insert_many64(KEYS[100:])
-                        bulk_client.delete_many64(DEAD[:25])
-                        legacy_client.delete_many(DEAD[25:])
-                        a = legacy_client.query_many(KEYS[:150])
-                        b = bulk_client.query_many64(KEYS[:150])
-                    return np.asarray(a, bool), np.asarray(b, bool)
+                    with FilterClient(port=port) as a, \
+                            FilterClient(port=port) as b:
+                        a.insert_many([k.decode() for k in KEYS[:100]])
+                        b.insert_many64(KEYS[100:])
+                        a.insert_many(KEYS[:50])
+                        b.delete_many64(DEAD[:25])
+                        for key in DEAD[25:]:
+                            a.delete(key)
+                        return a.query_many(KEYS[:150]), b.query_many64(
+                            KEYS[:150]
+                        )
 
-                def oracle_traffic(port):
-                    with FilterClient(port=port) as client:
-                        client.insert_many(KEYS)
-                        client.delete_many(DEAD)
-                        return np.asarray(client.query_many(KEYS[:150]), bool)
-
-                mixed = await asyncio.to_thread(
-                    mixed_traffic, mixed_server.port
-                )
-                oracle = await asyncio.to_thread(
-                    oracle_traffic, oracle_server.port
-                )
-                blobs = (
-                    snapshot_bytes(mixed_server.filter),
-                    snapshot_bytes(oracle_server.filter),
-                )
+                views = await asyncio.to_thread(mixed_traffic, server.port)
+                blob = snapshot_bytes(server.filter)
             finally:
-                await mixed_server.stop()
-                await oracle_server.stop()
-            return mixed, oracle, blobs
+                await server.stop()
+            return views, blob
 
-        (legacy_view, bulk_view), oracle, (mixed_blob, oracle_blob) = run(
-            main()
-        )
-        assert np.array_equal(legacy_view, bulk_view)
-        assert np.array_equal(legacy_view, oracle)
-        assert mixed_blob == oracle_blob
+        (a_view, b_view), blob = run(main())
+        oracle = self._oracle()
+        assert np.array_equal(a_view, b_view)
+        assert np.array_equal(a_view, oracle.query_many(KEYS[:150]))
+        assert blob == snapshot_bytes(oracle)
 
     def test_count_many64_tracks_multiplicity(self):
         async def main():

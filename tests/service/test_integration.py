@@ -90,7 +90,8 @@ class TestEndToEnd:
         assert sum(absent_answers) <= len(absent_answers) * 0.01
         # The coalescer really coalesced under 8-way concurrency.
         assert stats["coalescing"]["mean_batch_requests"] > 1.0
-        assert stats["ops"]["INSERT"] == 8 * 30
+        # One frame per call: 1 insert_many + 30 point inserts each.
+        assert stats["ops"]["BULK64_INSERT"] == 8 * 31
         assert stats["filter"]["name"] == "MPCBF-1x4"
         assert len(stats["filter"]["shards"]) == 4
         # Snapshot → restore: identical answers without the daemon.
@@ -119,10 +120,8 @@ class TestEndToEnd:
                     client.insert("alpha")
                     client.insert_many(["beta", "gamma"])
                     assert client.query("alpha")
-                    assert client.query_many(["beta", "gamma", "nope"])[:2] == [
-                        True,
-                        True,
-                    ]
+                    answers = client.query_many(["beta", "gamma", "nope"])
+                    assert answers.tolist()[:2] == [True, True]
                     client.delete("alpha")
                     assert not client.query("alpha")
                     client.delete_many(["beta", "gamma"])
@@ -151,8 +150,8 @@ class TestEndToEnd:
         async def main():
             server = await start_server(make_bank(num_shards=1))
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            # Well-framed but bodily-invalid: empty INSERT key.
-            writer.write(encode_frame(Opcode.INSERT, b""))
+            # Well-framed but bodily-invalid: an empty key column.
+            writer.write(encode_frame(Opcode.BULK64_INSERT, b""))
             await writer.drain()
             from repro.service.protocol import decode_error_body, read_frame
 

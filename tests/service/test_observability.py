@@ -92,17 +92,18 @@ class TestMetricsEndpoint:
         assert int(headers["content-length"]) == len(body)
 
         families = parse_exposition(body.decode("utf-8"))
-        # Per-op request counters (BATCH carries the bulk ops).
+        # Per-op request counters: one frame per bulk call.
         ops = {l["op"]: v for l, v in families["repro_requests_total"]}
-        assert ops["BATCH"] == 12.0  # 4 clients x (insert+query+delete)
+        for op in ("BULK64_INSERT", "BULK64_QUERY", "BULK64_DELETE"):
+            assert ops[op] == 4.0  # 4 clients x one call each
         assert ops["SNAPSHOT"] == 1.0
         # Request-latency histogram: cumulative, count matches ops.
-        batch_count = [
+        query_count = [
             v
             for l, v in families["repro_request_latency_seconds_count"]
-            if l.get("op") == "BATCH"
+            if l.get("op") == "BULK64_QUERY"
         ]
-        assert batch_count == [12.0]
+        assert query_count == [4.0]
         # AccessStats-derived word-access counters are non-zero.
         accesses = {
             l["kind"]: v for l, v in families["repro_word_accesses_total"]

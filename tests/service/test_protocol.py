@@ -15,22 +15,22 @@ from repro.errors import (
     UnsupportedOperationError,
     WordOverflowError,
 )
+from repro.service.client import wire_keys
 from repro.service.protocol import (
     FEATURE_BULK64,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_BULK64,
-    SUPPORTED_VERSIONS,
     ErrorCode,
     FrameDecoder,
     Opcode,
     ProtocolError,
     decode_bulk64_body,
+    decode_deadline_body,
     decode_error_body,
     decode_hello_body,
     decode_payload,
-    encode_batch_body,
     encode_bulk64_body,
+    encode_deadline_body,
     encode_error_body,
     encode_frame,
     encode_hello_body,
@@ -49,37 +49,41 @@ _BULK64_OPS = (
     Opcode.BULK64_QUERY,
     Opcode.BULK64_COUNT,
 )
+#: The byte-key request opcodes (INSERT/QUERY/DELETE/BATCH) the wire no
+#: longer has.
+_REMOVED_OPCODES = (0x02, 0x03, 0x04, 0x05)
 
 
 class TestFraming:
     def test_round_trip(self):
-        frame = encode_frame(Opcode.INSERT, b"alice")
+        frame = encode_frame(Opcode.BULK64_INSERT, b"alice")
         decoder = FrameDecoder()
         decoder.feed(frame)
         [(opcode, body)] = list(decoder.frames())
-        assert opcode == Opcode.INSERT
+        assert opcode == Opcode.BULK64_INSERT
         assert body == b"alice"
 
     def test_incremental_feed(self):
-        frame = encode_frame(Opcode.QUERY, b"bob") * 3
+        frame = encode_frame(Opcode.BULK64_QUERY, b"bob") * 3
         decoder = FrameDecoder()
         collected = []
         for i in range(len(frame)):
             decoder.feed(frame[i : i + 1])
             collected.extend(decoder.frames())
         assert len(collected) == 3
-        assert all(op == Opcode.QUERY and body == b"bob" for op, body in collected)
+        assert all(
+            op == Opcode.BULK64_QUERY and body == b"bob" for op, body in collected
+        )
 
     def test_bad_version_rejected(self):
-        bad = max(SUPPORTED_VERSIONS) + 1
-        payload = struct.pack("<BB", bad, Opcode.PING)
-        with pytest.raises(ProtocolError, match="version"):
-            decode_payload(payload)
+        for bad in (0, PROTOCOL_VERSION + 1, 255):
+            payload = struct.pack("<BB", bad, Opcode.PING)
+            with pytest.raises(ProtocolError, match="version"):
+                decode_payload(payload)
 
-    def test_both_supported_versions_accepted(self):
-        for version in SUPPORTED_VERSIONS:
-            payload = struct.pack("<BB", version, Opcode.PING)
-            assert decode_payload(payload) == (Opcode.PING, b"")
+    def test_protocol_version_accepted(self):
+        payload = struct.pack("<BB", PROTOCOL_VERSION, Opcode.PING)
+        assert decode_payload(payload) == (Opcode.PING, b"")
 
     def test_unknown_opcode_rejected(self):
         payload = struct.pack("<BB", PROTOCOL_VERSION, 0x66)
@@ -95,38 +99,42 @@ class TestFraming:
 
 class TestRequests:
     def test_single_key_ops(self):
-        for op in (Opcode.INSERT, Opcode.QUERY, Opcode.DELETE):
-            request = parse_request(op, b"key-1")
+        """A point operation is a one-key column."""
+        column = wire_keys([b"key-1"])
+        for op in _BULK64_OPS:
+            request = parse_request(op, encode_bulk64_body(column))
             assert request.op == op
-            assert request.keys == [b"key-1"]
-            assert request.single
+            assert request.keys.tolist() == column.tolist()
 
     def test_empty_key_rejected(self):
-        with pytest.raises(ProtocolError, match="empty key"):
-            parse_request(Opcode.INSERT, b"")
+        with pytest.raises(ProtocolError):
+            parse_request(Opcode.BULK64_INSERT, b"")
+        with pytest.raises(ProtocolError, match="no keys"):
+            parse_request(Opcode.BULK64_INSERT, struct.pack("<I", 0))
 
     def test_batch_round_trip(self):
         keys = [f"k{i}".encode() for i in range(100)] + [b"\x00\xff binary"]
-        body = encode_batch_body(Opcode.QUERY, keys)
-        request = parse_request(Opcode.BATCH, body)
-        assert request.op == Opcode.QUERY
-        assert request.keys == keys
-        assert not request.single
+        column = wire_keys(keys)
+        request = parse_request(Opcode.BULK64_QUERY, encode_bulk64_body(column))
+        assert request.op == Opcode.BULK64_QUERY
+        assert np.array_equal(request.keys, column)
 
     def test_batch_bad_subop(self):
-        body = struct.pack("<BI", Opcode.STATS, 0)
-        with pytest.raises(ProtocolError, match="sub-op"):
-            parse_request(Opcode.BATCH, body)
+        """The byte-key opcodes are gone: unknown to the frame decoder."""
+        for raw_op in _REMOVED_OPCODES:
+            payload = struct.pack("<BB", PROTOCOL_VERSION, raw_op) + b"x"
+            with pytest.raises(ProtocolError, match="unknown opcode"):
+                decode_payload(payload)
 
     def test_batch_truncated_key(self):
-        body = struct.pack("<BI", Opcode.INSERT, 1) + struct.pack("<H", 10) + b"ab"
-        with pytest.raises(ProtocolError, match="truncated"):
-            parse_request(Opcode.BATCH, body)
+        body = encode_bulk64_body(np.arange(3, dtype=np.uint64))
+        with pytest.raises(ProtocolError):
+            parse_request(Opcode.BULK64_INSERT, body[:-3])
 
     def test_batch_trailing_garbage(self):
-        body = encode_batch_body(Opcode.INSERT, [b"x"]) + b"junk"
-        with pytest.raises(ProtocolError, match="trailing"):
-            parse_request(Opcode.BATCH, body)
+        body = encode_bulk64_body(np.arange(3, dtype=np.uint64)) + b"junk"
+        with pytest.raises(ProtocolError):
+            parse_request(Opcode.BULK64_INSERT, body)
 
     def test_control_ops_not_keyed(self):
         with pytest.raises(ProtocolError):
@@ -155,26 +163,21 @@ class TestBodies:
 
 
 class TestBulk64:
-    """The columnar fastpath frames: packed u64 columns, v2 framing."""
+    """The keyed request frames: packed u64 wire-key columns."""
 
     def test_body_round_trip(self):
         keys = np.array([0, 1, 2**63, 2**64 - 1, 42], dtype=np.uint64)
         for op in _BULK64_OPS:
             request = parse_request(op, encode_bulk64_body(keys))
-            assert request.columnar
-            assert not request.single
             assert np.array_equal(
                 np.asarray(request.keys, dtype=np.uint64), keys
             )
 
     def test_base_op_mapping(self):
+        """Each keyed frame batches under its own opcode."""
         body = encode_bulk64_body(np.array([7], dtype=np.uint64))
-        assert parse_request(Opcode.BULK64_INSERT, body).op == Opcode.INSERT
-        assert parse_request(Opcode.BULK64_DELETE, body).op == Opcode.DELETE
-        assert parse_request(Opcode.BULK64_QUERY, body).op == Opcode.QUERY
-        assert (
-            parse_request(Opcode.BULK64_COUNT, body).op == Opcode.BULK64_COUNT
-        )
+        for op in _BULK64_OPS:
+            assert parse_request(op, body).op == op
 
     def test_body_is_little_endian(self):
         body = encode_bulk64_body(np.array([0x0102030405060708], dtype=np.uint64))
@@ -211,13 +214,9 @@ class TestBulk64:
         with pytest.raises(ProtocolError):
             decode_bulk64_body(body + b"x")
 
-    def test_v2_frame_round_trip(self):
+    def test_bulk64_frame_round_trip(self):
         keys = np.arange(64, dtype=np.uint64)
-        frame = encode_frame(
-            Opcode.BULK64_INSERT,
-            encode_bulk64_body(keys),
-            version=PROTOCOL_VERSION_BULK64,
-        )
+        frame = encode_frame(Opcode.BULK64_INSERT, encode_bulk64_body(keys))
         decoder = FrameDecoder()
         decoder.feed(frame)
         [(opcode, body)] = list(decoder.frames())
@@ -225,11 +224,8 @@ class TestBulk64:
         assert np.array_equal(decode_bulk64_body(body), keys)
 
     def test_hello_round_trip(self):
-        body = encode_hello_body(PROTOCOL_VERSION_BULK64, FEATURE_BULK64)
-        assert decode_hello_body(body) == (
-            PROTOCOL_VERSION_BULK64,
-            FEATURE_BULK64,
-        )
+        body = encode_hello_body(PROTOCOL_VERSION, FEATURE_BULK64)
+        assert decode_hello_body(body) == (PROTOCOL_VERSION, FEATURE_BULK64)
         with pytest.raises(ProtocolError):
             decode_hello_body(body + b"x")
         with pytest.raises(ProtocolError):
@@ -258,24 +254,31 @@ class TestFuzz:
         decoder.feed(data)
         try:
             for opcode, body in decoder.frames():
-                if opcode in (
-                    Opcode.INSERT,
-                    Opcode.QUERY,
-                    Opcode.DELETE,
-                    Opcode.BATCH,
-                    *_BULK64_OPS,
-                ):
+                if opcode in _BULK64_OPS:
                     parse_request(opcode, body)
         except ProtocolError:
             pass
 
     @settings(max_examples=200, deadline=None)
-    @given(st.binary(max_size=128))
-    def test_batch_body_parse_never_crashes(self, body):
-        try:
-            parse_request(Opcode.BATCH, body)
-        except ProtocolError:
-            pass
+    @given(st.sampled_from(_REMOVED_OPCODES), st.binary(max_size=128))
+    def test_batch_body_parse_never_crashes(self, raw_op, body):
+        """Any frame under a removed byte-key opcode is rejected."""
+        decoder = FrameDecoder()
+        decoder.feed(
+            struct.pack("<IBB", len(body) + 2, PROTOCOL_VERSION, raw_op) + body
+        )
+        with pytest.raises(ProtocolError, match="unknown opcode"):
+            list(decoder.frames())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 255).filter(lambda v: v != PROTOCOL_VERSION),
+        st.integers(0, 255),
+        st.binary(max_size=64),
+    )
+    def test_other_versions_rejected(self, version, raw_op, body):
+        with pytest.raises(ProtocolError):
+            decode_payload(struct.pack("<BB", version, raw_op) + body)
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=128))
@@ -293,7 +296,6 @@ class TestFuzz:
             encode_frame(
                 Opcode.BULK64_QUERY,
                 encode_bulk64_body(np.arange(8, dtype=np.uint64)),
-                version=PROTOCOL_VERSION_BULK64,
             )
         )
         for i, byte in enumerate(noise):
@@ -310,16 +312,26 @@ class TestFuzz:
     @settings(max_examples=100, deadline=None)
     @given(st.binary(min_size=4, max_size=64))
     def test_corrupted_valid_frame_never_crashes(self, noise):
-        frame = bytearray(encode_frame(Opcode.BATCH, encode_batch_body(
-            Opcode.INSERT, [b"aa", b"bb", b"cc"]
-        )))
+        """A DEADLINE-wrapped keyed frame, corrupted anywhere."""
+        frame = bytearray(
+            encode_frame(
+                Opcode.DEADLINE,
+                encode_deadline_body(
+                    5000,
+                    Opcode.BULK64_INSERT,
+                    encode_bulk64_body(wire_keys([b"aa", b"bb", b"cc"])),
+                ),
+            )
+        )
         for i, byte in enumerate(noise):
             frame[byte % len(frame)] ^= (i % 255) + 1
         decoder = FrameDecoder()
         decoder.feed(bytes(frame))
         try:
             for opcode, body in decoder.frames():
-                if opcode == Opcode.BATCH:
+                if opcode == Opcode.DEADLINE:
+                    _, opcode, body = decode_deadline_body(body)
+                if opcode in _BULK64_OPS:
                     parse_request(opcode, body)
         except ProtocolError:
             pass

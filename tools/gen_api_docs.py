@@ -181,10 +181,21 @@ def _signature(obj) -> str:
         return "(...)"
 
 
+def _members(cls) -> dict:
+    """Members of ``cls``, including those of its private (``_``-named)
+    bases: those are reachable only through public subclasses, so they
+    are documented there."""
+    members: dict = {}
+    for klass in reversed(cls.__mro__):
+        if klass is cls or klass.__name__.startswith("_"):
+            members.update(vars(klass))
+    return members
+
+
 def _describe_class(cls) -> list[str]:
     lines = [f"#### class `{cls.__name__}`", "", _first_paragraph(cls.__doc__), ""]
     methods = []
-    for name, member in sorted(vars(cls).items()):
+    for name, member in sorted(_members(cls).items()):
         if name.startswith("_"):
             continue
         if isinstance(member, property):
