@@ -44,7 +44,12 @@ from repro.filters.hcbf_word import HCBFWord, improved_first_level_size
 from repro.hashing.bit_budget import HashBitBudget
 from repro.hashing.encoders import KeyEncoder
 from repro.hashing.families import PartitionedHashFamily
-from repro.kernels.columnar import ColumnarHCBF, WordsView, counts_from_levels
+from repro.kernels.columnar import (
+    ColumnarHCBF,
+    WordsView,
+    counts_from_levels,
+    probe_mirror,
+)
 from repro.memmodel.accounting import OpKind
 
 __all__ = ["MPCBF"]
@@ -213,13 +218,6 @@ class MPCBF(CountingFilterBase):
         if self.columns is not None:
             return self.columns.mirror
         return self._mirror_arr
-
-    @property
-    def _mirror1d(self) -> np.ndarray | None:
-        """Flat view for the single-limb bulk fast path (shares memory)."""
-        if self._limbs != 1:
-            return None
-        return self._mirror[:, 0]
 
     @property
     def _saturated(self) -> dict[int, int]:
@@ -502,6 +500,32 @@ class MPCBF(CountingFilterBase):
                     self._mirror_set(word_index, pos)
         return extra_bits
 
+    def record_bulk_update(self, kind: OpKind, count: int, extra_bits: float) -> None:
+        """Record ``count`` applied bulk inserts or deletes.
+
+        ``extra_bits`` is their summed hierarchy traversal bandwidth.
+        Shared with :class:`~repro.parallel.ShardedFilterBank`, which
+        runs the kernel for all of its shards at once and hands each
+        shard its own share.
+        """
+        self.stats.record(
+            kind,
+            count=count,
+            word_accesses=float(self.g * count),
+            hash_bits=self._budget_query.total_bits * count + extra_bits,
+            hash_calls=self._budget_query.hash_calls * count,
+        )
+
+    def record_bulk_query(self, count: int, word_accesses: float) -> None:
+        """Record ``count`` bulk queries that read ``word_accesses`` words."""
+        self.stats.record(
+            OpKind.QUERY,
+            count=count,
+            word_accesses=word_accesses,
+            hash_bits=self._budget_query.total_bits / self.g * word_accesses,
+            hash_calls=self._budget_query.hash_calls * count,
+        )
+
     def insert_many(self, keys: object) -> None:
         encoded = self._encode_bulk(keys)
         if len(encoded) == 0:
@@ -511,30 +535,19 @@ class MPCBF(CountingFilterBase):
             outcome = self.columns.bulk_insert(
                 word_idx, offsets, self._word_cols, self.word_overflow
             )
-            self.overflow_events += outcome.overflow_events
+            self.overflow_events += int(outcome.overflow_events[0])
             if outcome.error is not None:
                 # Scalar insert_many raises mid-batch before recording
                 # any statistics; earlier keys stay applied.
                 raise outcome.error
-            self.stats.record(
-                OpKind.INSERT,
-                count=len(encoded),
-                word_accesses=float(self.g * len(encoded)),
-                hash_bits=self._budget_query.total_bits * len(encoded)
-                + outcome.extra_bits,
-                hash_calls=self._budget_query.hash_calls * len(encoded),
+            self.record_bulk_update(
+                OpKind.INSERT, len(encoded), float(outcome.extra_bits[0])
             )
             return
         total_extra = 0.0
         for word_indices, groups in self._grouped_rows(encoded):
             total_extra += self._apply_insert(word_indices, groups)
-        self.stats.record(
-            OpKind.INSERT,
-            count=len(encoded),
-            word_accesses=float(self.g * len(encoded)),
-            hash_bits=self._budget_query.total_bits * len(encoded) + total_extra,
-            hash_calls=self._budget_query.hash_calls * len(encoded),
-        )
+        self.record_bulk_update(OpKind.INSERT, len(encoded), total_extra)
 
     def delete_many(self, keys: object) -> None:
         encoded = self._encode_bulk(keys)
@@ -546,17 +559,12 @@ class MPCBF(CountingFilterBase):
             return
         word_idx, offsets = self.family.locate_array(encoded)
         outcome = self.columns.bulk_delete(word_idx, offsets, self._word_cols)
-        self.skipped_deletes += outcome.skipped_deletes
+        self.skipped_deletes += int(outcome.skipped_deletes[0])
         if outcome.applied_keys:
             # The scalar path records per successfully deleted key, so
             # the prefix before a failing key is still accounted.
-            self.stats.record(
-                OpKind.DELETE,
-                count=outcome.applied_keys,
-                word_accesses=float(self.g * outcome.applied_keys),
-                hash_bits=self._budget_query.total_bits * outcome.applied_keys
-                + outcome.extra_bits,
-                hash_calls=self._budget_query.hash_calls * outcome.applied_keys,
+            self.record_bulk_update(
+                OpKind.DELETE, outcome.applied_keys, float(outcome.extra_bits[0])
             )
         if outcome.error is not None:
             raise outcome.error
@@ -566,26 +574,10 @@ class MPCBF(CountingFilterBase):
         if len(encoded) == 0:
             return np.zeros(0, dtype=bool)
         word_idx, offsets = self.family.locate_array(encoded)
-        word_cols = self._word_cols
-        words_per_offset = word_idx[:, word_cols]
-        shift = (offsets & 63).astype(np.uint64)
-        if self._limbs == 1:
-            # b1 <= 64: the common case; one flat gather per offset.
-            limbs = self._mirror1d[words_per_offset]
-        else:
-            limbs = self._mirror[words_per_offset, (offsets >> 6)]
-        tested = ((limbs >> shift) & np.uint64(1)).astype(bool)
-        member = tested.all(axis=1)
-        first_fail = np.where(member, self.k - 1, np.argmin(tested, axis=1))
-        accesses = word_cols[first_fail] + 1
-        total_accesses = float(accesses.sum())
-        self.stats.record(
-            OpKind.QUERY,
-            count=len(encoded),
-            word_accesses=total_accesses,
-            hash_bits=self._budget_query.total_bits / self.g * total_accesses,
-            hash_calls=self._budget_query.hash_calls * len(encoded),
+        member, accesses = probe_mirror(
+            self._mirror, word_idx, offsets, self._word_cols
         )
+        self.record_bulk_query(len(encoded), float(accesses.sum()))
         return member
 
     def count_many(self, keys: object) -> np.ndarray:

@@ -186,8 +186,9 @@ class PartitionedHashFamily:
         all_seeds = derive_seeds(seed, g - 1 + k)
         self._word_seeds = all_seeds[: g - 1]
         self._offset_seeds = all_seeds[g - 1 :]
-        self._word_seeds_np = np.array(self._word_seeds, dtype=np.uint64)
-        self._offset_seeds_np = np.array(self._offset_seeds, dtype=np.uint64)
+        #: Every per-function seed as one ``uint64`` row (word seeds
+        #: first), the row format :meth:`locate_array` takes per key.
+        self.seed_row = np.array(all_seeds, dtype=np.uint64)
 
     def __repr__(self) -> str:
         return (
@@ -224,34 +225,31 @@ class PartitionedHashFamily:
         return groups
 
     def locate_array(
-        self, encoded_keys: np.ndarray
+        self, encoded_keys: np.ndarray, seed_rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bulk word indices and offsets with the shared first hash.
 
         Returns ``(word_idx, offsets)`` of shapes ``(n, g)`` and
         ``(n, k)`` computed with exactly ``k + g − 1`` mixes per key —
         the hot path every partitioned filter's bulk operations use.
+
+        ``seed_rows`` (``(n, g − 1 + k)``, each row some family's
+        :attr:`seed_row`) hashes every key with its own row's seeds
+        instead of this family's: one call then locates keys for several
+        same-geometry filters, as a sharded bank does for its shards.
         """
         keys = np.asarray(encoded_keys, dtype=np.uint64)
+        seeds = self.seed_row[None, :] if seed_rows is None else seed_rows
+        split = self.g - 1
+        # One mix pass covers every function; the word seeds come first.
         with np.errstate(over="ignore"):
-            offset_mixed = splitmix64_array(
-                keys[:, None] ^ self._offset_seeds_np[None, :]
-            )
-            offsets = (offset_mixed % np.uint64(self.offset_range)).astype(
-                np.int64
-            )
-            word0 = (
-                (offset_mixed[:, 0] >> np.uint64(32))
-                % np.uint64(self.num_words)
-            ).astype(np.int64)
-            if self.g == 1:
-                word_idx = word0[:, None]
-            else:
-                rest = splitmix64_array(
-                    keys[:, None] ^ self._word_seeds_np[None, :]
-                )
-                rest_idx = (rest % np.uint64(self.num_words)).astype(np.int64)
-                word_idx = np.concatenate([word0[:, None], rest_idx], axis=1)
+            mixed = splitmix64_array(keys[:, None] ^ seeds)
+        # Moduli are below 2**63, so the uint64 results view as int64.
+        offsets = (mixed[:, split:] % np.uint64(self.offset_range)).view(np.int64)
+        words = np.empty((len(keys), self.g), dtype=np.uint64)
+        np.right_shift(mixed[:, split], np.uint64(32), out=words[:, 0])
+        words[:, 1:] = mixed[:, :split]
+        word_idx = (words % np.uint64(self.num_words)).view(np.int64)
         return word_idx, offsets
 
     def word_indices_array(self, encoded_keys: np.ndarray) -> np.ndarray:

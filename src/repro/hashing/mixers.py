@@ -69,10 +69,14 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.uint64)
     with np.errstate(over="ignore"):
+        # The first step copies; the rest update that copy in place.
         x = x + np.uint64(_SM_GAMMA)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_MUL1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_MUL2)
-        return x ^ (x >> np.uint64(31))
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(_SM_MUL1)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(_SM_MUL2)
+        x ^= x >> np.uint64(31)
+        return x
 
 
 def murmur_fmix64(x: int) -> int:

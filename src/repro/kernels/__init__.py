@@ -7,9 +7,11 @@ updates run at array speed:
 * :mod:`repro.kernels.columnar` — all HCBF words' hierarchies as flat
   ``counts``/``hist``/``used`` columns plus the packed first-level
   mirror, with batch kernels ``bulk_insert``/``bulk_delete``/
-  ``bulk_count`` that are observably equivalent to the scalar path
-  (membership, counters, saturation, ``AccessStats``; verified by the
-  Hypothesis differential suite in ``tests/kernels/``).
+  ``bulk_query``/``bulk_count`` that are observably equivalent to the
+  scalar path (membership, counters, saturation, ``AccessStats``;
+  verified by the Hypothesis differential suite in ``tests/kernels/``).
+  The kernels can treat the words as equal row blocks, one per filter,
+  which is how a sharded bank runs all of its shards in one call.
 * :mod:`repro.kernels.grouped` — bincount-grouped counter updates for
   the flat CBF.
 * :mod:`repro.kernels.shmem` — shared-memory packing of the columnar

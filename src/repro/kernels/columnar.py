@@ -36,6 +36,11 @@ key is replayed through an exact scalar routine so error identity,
 saturation order and partial-application semantics match the scalar
 path bit for bit.  Tests drive both backends through randomized
 interleavings and assert identical observable state.
+
+Several filters can share one set of arrays as equal row blocks — a
+sharded bank's arena, where shard ``i`` owns words ``[i·l, (i+1)·l)``.
+The batch kernels then take ``block_words = l``, run every block's keys
+in one call, and report costs per block (:class:`KernelOutcome`).
 """
 
 from __future__ import annotations
@@ -66,21 +71,71 @@ class KernelOutcome:
     traversal bandwidth of the applied keys; ``error`` carries the
     exception for the first failing key instead of raising so the
     caller can record statistics with scalar-identical ordering first.
+
+    The kernels address the words as equal row blocks (one block per
+    filter that owns rows of the arrays; a plain MPCBF is one block), so
+    ``extra_bits``, ``overflow_events`` and ``skipped_deletes`` hold one
+    entry per block.
     """
 
-    extra_bits: float = 0.0
+    extra_bits: np.ndarray
+    overflow_events: np.ndarray
+    skipped_deletes: np.ndarray
     applied_keys: int = 0
-    overflow_events: int = 0
-    skipped_deletes: int = 0
     error: Exception | None = None
+
+    @classmethod
+    def empty(cls, blocks: int) -> "KernelOutcome":
+        return cls(
+            extra_bits=np.zeros(blocks, dtype=np.float64),
+            overflow_events=np.zeros(blocks, dtype=np.int64),
+            skipped_deletes=np.zeros(blocks, dtype=np.int64),
+        )
 
 
 def _group_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(uniques, group_starts, group_sizes)`` of a sorted 1-D array."""
+    """``(uniques, group_starts, group_sizes)`` of a sorted, non-empty 1-D array."""
     n = len(values)
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    sizes = np.diff(np.r_[starts, n])
+    edge = np.empty(n, dtype=bool)
+    edge[0] = True
+    np.not_equal(values[1:], values[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
+    sizes = np.diff(np.append(starts, n))
     return values[starts], starts, sizes
+
+
+def _block_sums(
+    words: np.ndarray, block_words: int, blocks: int, weights=None
+) -> np.ndarray:
+    """Per-block totals of ``weights`` (or counts) over word indices."""
+    if blocks == 1:
+        return np.array([len(words) if weights is None else weights.sum()])
+    return np.bincount(words // block_words, weights=weights, minlength=blocks)
+
+
+def probe_mirror(
+    mirror: np.ndarray,
+    word_idx: np.ndarray,
+    offsets: np.ndarray,
+    word_cols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk membership against packed first-level limbs.
+
+    Returns ``(member, accesses)``: whether every probed bit is set, and
+    the words each key reads before its first unset bit (a query stops
+    at the first word that rules the key out).
+    """
+    words_per_offset = word_idx[:, word_cols]
+    shift = (offsets & 63).astype(np.uint64)
+    if mirror.shape[1] == 1:
+        # b1 <= 64: the common case; one flat gather per offset.
+        limbs = mirror[:, 0][words_per_offset]
+    else:
+        limbs = mirror[words_per_offset, (offsets >> 6)]
+    tested = ((limbs >> shift) & _U1).astype(bool)
+    member = tested.all(axis=1)
+    first_fail = np.where(member, len(word_cols) - 1, np.argmin(tested, axis=1))
+    return member, word_cols[first_fail] + 1
 
 
 def _int_to_bits(value: int, size: int) -> np.ndarray:
@@ -286,20 +341,41 @@ class ColumnarHCBF:
         raise AssertionError("bulk_delete flagged a key the scalar path accepts")
 
     # -- vectorised pair application -------------------------------------
-    def _apply_pairs_insert(self, W: np.ndarray, P: np.ndarray) -> float:
-        """Apply (word, pos) insert pairs known to fit their budgets.
+    def _live_groups(self, W: np.ndarray, sat: np.ndarray):
+        """Stably group the unsaturated pairs of flat pair words ``W`` by word.
 
-        Rounds over the per-word pair groups: pair ``r`` of every word
-        applies together, so each word's pairs land in original order
-        (stable sort) against exactly the hist/counts state the scalar
-        path would have seen.
+        Returns ``None`` when no pair is live, else ``(live, order,
+        uniq, starts, sizes)``: the flat indices of the live pairs
+        (``None`` when all are), the stable sort of the live pairs'
+        words, and that sort's groups.
         """
-        order = np.argsort(W, kind="stable")
-        Ws = W[order]
-        Ps = P[order]
-        uniq, starts, sizes = _group_sorted(Ws)
+        live = np.flatnonzero(~sat) if sat.any() else None
+        Wl = W if live is None else W[live]
+        if len(Wl) == 0:
+            return None
+        order = np.argsort(Wl, kind="stable")
+        return (live, order, *_group_sorted(Wl[order]))
+
+    def _apply_pairs_insert(
+        self,
+        Ps: np.ndarray,
+        uniq: np.ndarray,
+        starts: np.ndarray,
+        sizes: np.ndarray,
+        block_words: int,
+        blocks: int,
+    ) -> np.ndarray:
+        """Apply insert pairs, grouped by word, known to fit their budgets.
+
+        ``Ps`` holds the positions in word-sorted (stable) order and
+        ``uniq``/``starts``/``sizes`` are the word groups.  Rounds over
+        the groups: pair ``r`` of every word applies together, so each
+        word's pairs land in original order against exactly the
+        hist/counts state the scalar path would have seen.  Returns the
+        traversal bits per block.
+        """
         log2tab = self._log2
-        extra = 0.0
+        extra = np.zeros(blocks, dtype=np.float64)
         for r in range(int(sizes.max())):
             sel = sizes > r
             A = uniq[sel]
@@ -311,8 +387,10 @@ class ColumnarHCBF:
                 # pre-insert sizes; a cumsum over the hist slice gives
                 # every pair its own prefix in one pass.
                 clog = np.cumsum(log2tab[self.hist[A, 1 : cmax + 1]], axis=1)
-                deep = c > 0
-                extra += float(clog[np.flatnonzero(deep), c[deep] - 1].sum())
+                deep = np.flatnonzero(c > 0)
+                extra += _block_sums(
+                    A[deep], block_words, blocks, clog[deep, c[deep] - 1]
+                )
             self.counts[A, p] = (c + 1).astype(self.counts.dtype)
             self.hist[A, c + 1] += 1
             fresh = c == 0
@@ -323,14 +401,15 @@ class ColumnarHCBF:
         self.used[uniq] += sizes
         return extra
 
-    def _apply_pairs_delete(self, W: np.ndarray, P: np.ndarray) -> float:
+    def _apply_pairs_delete(
+        self, W: np.ndarray, P: np.ndarray, block_words: int, blocks: int
+    ) -> np.ndarray:
         """Apply (word, pos) delete pairs known not to underflow."""
         order = np.argsort(W, kind="stable")
-        Ws = W[order]
         Ps = P[order]
-        uniq, starts, sizes = _group_sorted(Ws)
+        uniq, starts, sizes = _group_sorted(W[order])
         log2tab = self._log2
-        extra = 0.0
+        extra = np.zeros(blocks, dtype=np.float64)
         for r in range(int(sizes.max())):
             sel = sizes > r
             A = uniq[sel]
@@ -340,8 +419,10 @@ class ColumnarHCBF:
             if cmax > 1:
                 # Deletes traverse to depth c−1: Σ_{j=1..c−1} log2(hist[j]).
                 clog = np.cumsum(log2tab[self.hist[A, 1:cmax]], axis=1)
-                deep = c > 1
-                extra += float(clog[np.flatnonzero(deep), c[deep] - 2].sum())
+                deep = np.flatnonzero(c > 1)
+                extra += _block_sums(
+                    A[deep], block_words, blocks, clog[deep, c[deep] - 2]
+                )
             self.hist[A, c] -= 1
             self.counts[A, p] = (c - 1).astype(self.counts.dtype)
             emptied = c == 1
@@ -353,7 +434,25 @@ class ColumnarHCBF:
         return extra
 
     # -- trigger detection ------------------------------------------------
-    def _first_insert_trigger(self, W: np.ndarray) -> int | None:
+    @staticmethod
+    def _first_over(groups, have: np.ndarray, k: int) -> int | None:
+        """First key with a pair ranked at or past its group's ``have``.
+
+        ``groups`` is a :meth:`_live_groups`-style grouping of flat pair
+        indices (``k`` pairs per key) and ``have`` the per-group limit.
+        A pair's rank counts the earlier pairs of its group; a group
+        no larger than its limit has no such pair, so the common case
+        needs only the group sizes.
+        """
+        live, order, _, starts, sizes = groups
+        if not (sizes > have).any():
+            return None
+        rank = np.arange(len(order), dtype=np.int64) - np.repeat(starts, sizes)
+        hit = order[rank >= np.repeat(have, sizes)]
+        flat = hit if live is None else live[hit]
+        return int(flat.min()) // k
+
+    def _first_insert_trigger(self, groups, k: int) -> int | None:
         """First key whose aggregate demand overflows some word, if any.
 
         A key fails exactly when one of its pairs has within-word rank
@@ -362,45 +461,38 @@ class ColumnarHCBF:
         ``bits_free < need`` check are equivalent, and the minimum over
         failing keys is the first scalar failure.
         """
-        n, k = W.shape
-        Wf = W.ravel()
-        live = ~self.sat_mask[Wf]
-        if not live.any():
+        if groups is None:
             return None
-        Wl = Wf[live]
-        keys = np.repeat(np.arange(n, dtype=np.int64), k)[live]
-        order = np.argsort(Wl, kind="stable")
-        Ws = Wl[order]
-        _, starts, sizes = _group_sorted(Ws)
-        rank = np.arange(len(Ws), dtype=np.int64) - np.repeat(starts, sizes)
-        over = rank >= self.capacity - self.used[Ws]
-        if not over.any():
-            return None
-        return int(keys[order][over].min())
+        return self._first_over(groups, self.capacity - self.used[groups[2]], k)
 
     def _first_underflow_key(
-        self, W: np.ndarray, P: np.ndarray, keys: np.ndarray
+        self, W: np.ndarray, P: np.ndarray, live: np.ndarray | None, k: int
     ) -> int | None:
         """First key deleting more from some counter than it holds."""
-        if len(W) == 0:
-            return None
         cell = W * np.int64(self.first_level_bits) + P
-        order = np.argsort(cell, kind="stable")
-        cs = cell[order]
-        _, starts, sizes = _group_sorted(cs)
-        rank = np.arange(len(cs), dtype=np.int64) - np.repeat(starts, sizes)
-        over = rank >= self.counts.reshape(-1)[cs].astype(np.int64)
-        if not over.any():
+        if live is not None:
+            cell = cell[live]
+        if len(cell) == 0:
             return None
-        return int(keys[order][over].min())
+        order = np.argsort(cell, kind="stable")
+        uniq, starts, sizes = _group_sorted(cell[order])
+        have = self.counts.reshape(-1)[uniq].astype(np.int64)
+        return self._first_over((live, order, uniq, starts, sizes), have, k)
 
     # -- bulk kernels ------------------------------------------------------
+    def _blocks(self, block_words: int | None) -> tuple[int, int]:
+        """``(block_words, blocks)`` for a call's row-block layout."""
+        if block_words is None:
+            return self.num_words, 1
+        return block_words, self.num_words // block_words
+
     def bulk_insert(
         self,
         word_idx: np.ndarray,
         offsets: np.ndarray,
         word_cols: np.ndarray,
         policy: str,
+        block_words: int | None = None,
     ) -> KernelOutcome:
         """Batch insert of located keys (``(n, g)`` words, ``(n, k)`` offsets).
 
@@ -408,26 +500,41 @@ class ColumnarHCBF:
         :meth:`_apply_pairs_insert`; each triggering key replays through
         the exact scalar routine so saturation/raise semantics match the
         scalar path (including partial application under ``raise``).
+
+        ``block_words`` splits the words into row blocks of that many
+        words (one per filter sharing these arrays): the outcome then
+        counts per block, and a :class:`WordOverflowError` names the
+        word by its index within its block.
         """
-        n = len(offsets)
+        n, k = offsets.shape
+        block_words, blocks = self._blocks(block_words)
         W = np.ascontiguousarray(word_idx[:, word_cols])
-        out = KernelOutcome()
+        out = KernelOutcome.empty(blocks)
         start = 0
         while start < n:
-            trigger = self._first_insert_trigger(W[start:])
+            Wf = W[start:].ravel()
+            sat = self.sat_mask[Wf]
+            groups = self._live_groups(Wf, sat)
+            trigger = self._first_insert_trigger(groups, k)
             stop = n if trigger is None else start + trigger
             if stop > start:
-                Wf = W[start:stop].ravel()
                 Pf = offsets[start:stop].ravel()
-                sat = self.sat_mask[Wf]
+                if trigger is not None:
+                    # Regroup just the segment before the trigger key.
+                    Wf = Wf[: len(Pf)]
+                    sat = sat[: len(Pf)]
+                    groups = self._live_groups(Wf, sat)
                 if sat.any():
                     self._overlay_pairs(Wf[sat], Pf[sat])
-                    out.overflow_events += int(sat.sum())
-                    live = ~sat
-                    Wf = Wf[live]
-                    Pf = Pf[live]
-                if len(Wf):
-                    out.extra_bits += self._apply_pairs_insert(Wf, Pf)
+                    out.overflow_events += _block_sums(
+                        Wf[sat], block_words, blocks
+                    )
+                if groups is not None:
+                    live, order, uniq, starts, sizes = groups
+                    Pl = Pf if live is None else Pf[live]
+                    out.extra_bits += self._apply_pairs_insert(
+                        Pl[order], uniq, starts, sizes, block_words, blocks
+                    )
                 out.applied_keys = stop
             if trigger is None:
                 out.applied_keys = n
@@ -437,10 +544,13 @@ class ColumnarHCBF:
                     word_idx[stop], offsets[stop], word_cols, policy
                 )
             except WordOverflowError as exc:
-                out.error = exc
+                out.error = WordOverflowError(
+                    exc.word_index % block_words, exc.capacity
+                )
                 return out
-            out.overflow_events += events
-            out.extra_bits += extra
+            block = int(word_idx[stop, 0]) // block_words
+            out.overflow_events[block] += events
+            out.extra_bits[block] += extra
             out.applied_keys = stop + 1
             start = stop + 1
         return out
@@ -450,35 +560,51 @@ class ColumnarHCBF:
         word_idx: np.ndarray,
         offsets: np.ndarray,
         word_cols: np.ndarray,
+        block_words: int | None = None,
     ) -> KernelOutcome:
         """Batch delete; validates all keys up-front like the scalar path.
 
         Pairs touching saturated words are skipped (counted in
         ``skipped_deletes``) and excluded from underflow validation,
         exactly as ``MPCBF.delete_encoded`` does per key.
+        ``block_words`` is as for :meth:`bulk_insert`.
         """
-        n = len(offsets)
-        k = offsets.shape[1]
+        n, k = offsets.shape
+        block_words, blocks = self._blocks(block_words)
         W = np.ascontiguousarray(word_idx[:, word_cols]).ravel()
         P = offsets.ravel()
-        keys = np.repeat(np.arange(n, dtype=np.int64), k)
-        live = ~self.sat_mask[W]
-        fail = self._first_underflow_key(W[live], P[live], keys[live])
+        sat = self.sat_mask[W]
+        any_sat = bool(sat.any())
+        live = np.flatnonzero(~sat) if any_sat else None
+        fail = self._first_underflow_key(W, P, live, k)
         stop = n if fail is None else fail
-        out = KernelOutcome()
+        out = KernelOutcome.empty(blocks)
         if stop > 0:
             cut = stop * k
-            live_cut = live[:cut]
-            out.skipped_deletes = int(cut - live_cut.sum())
-            Wm = W[:cut][live_cut]
+            Wm, Pm = W[:cut], P[:cut]
+            if any_sat:
+                sat_cut = sat[:cut]
+                out.skipped_deletes = _block_sums(Wm[sat_cut], block_words, blocks)
+                Wm, Pm = Wm[~sat_cut], Pm[~sat_cut]
             if len(Wm):
-                out.extra_bits = self._apply_pairs_delete(Wm, P[:cut][live_cut])
+                out.extra_bits = self._apply_pairs_delete(
+                    Wm, Pm, block_words, blocks
+                )
             out.applied_keys = stop
         if fail is not None:
             out.error = self._underflow_error(
                 word_idx[fail], offsets[fail], word_cols
             )
         return out
+
+    def bulk_query(
+        self,
+        word_idx: np.ndarray,
+        offsets: np.ndarray,
+        word_cols: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised membership: ``(member, word accesses)`` per key."""
+        return probe_mirror(self.mirror, word_idx, offsets, word_cols)
 
     def bulk_count(
         self,

@@ -378,10 +378,12 @@ def load_bank(data: bytes):
         max_workers=config["max_workers"],
         executor=config.get("executor", "thread"),
     )
-    bank.shards = [
-        load_filter(payload[d["offset"] : d["offset"] + d["nbytes"]])
-        for d in config["shards"]
-    ]
+    bank.set_shards(
+        [
+            load_filter(payload[d["offset"] : d["offset"] + d["nbytes"]])
+            for d in config["shards"]
+        ]
+    )
     return bank
 
 

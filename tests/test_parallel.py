@@ -124,6 +124,24 @@ class TestThreadedExecution:
             seq.query_many(small_keys), par.query_many(small_keys)
         )
 
+    @pytest.mark.parametrize(
+        "variant, extra",
+        [("CBF", {}), ("MPCBF-1", {"word_overflow": "saturate", "kernel": "scalar"})],
+    )
+    def test_thread_pool_for_shards_outside_the_arena(
+        self, variant, extra, small_keys, negative_keys
+    ):
+        # Columnar MPCBF banks run one arena kernel call; these shard
+        # types keep per-shard dispatch, on the pool when workers > 1.
+        seq = make_bank(variant, workers=1, seed=9, extra=extra)
+        par = make_bank(variant, workers=4, seed=9, extra=extra)
+        assert par._stacked is None
+        seq.insert_many(small_keys)
+        par.insert_many(small_keys)
+        for keys in (small_keys, negative_keys):
+            np.testing.assert_array_equal(seq.query_many(keys), par.query_many(keys))
+            np.testing.assert_array_equal(seq.count_many(keys), par.count_many(keys))
+
     def test_threaded_delete(self, small_keys):
         bank = make_bank(workers=4)
         bank.insert_many(small_keys)
