@@ -43,6 +43,7 @@ Fsync policy trades durability for append latency:
 from __future__ import annotations
 
 import enum
+import os
 import struct
 import time
 import zlib
@@ -86,9 +87,11 @@ class FsyncPolicy(str, enum.Enum):
 class WalCursor:
     """Resumable read position (segment path + byte offset + next seq).
 
-    Handed back by :meth:`WriteAheadLog.read` so a replication link
-    tails the log without rescanning segments from the start on every
-    poll.
+    Handed back by :meth:`WriteAheadLog.read` so a replication link or
+    a migration stream tails the log: the next read seeks to ``offset``
+    (the boundary after the last record read) and parses only what
+    follows, so a poll costs the records appended since, not the
+    segment.
     """
 
     segment: Path
@@ -213,33 +216,15 @@ class WriteAheadLog:
         # hold the torn tail; earlier segments still get CRC checks on
         # replay/read, just not at open time.
         tail = segments[-1]
+        # The tail's name is its sequence floor, even with nothing valid.
         last_seq = _segment_first_seq(tail) - 1
         valid_end = 0
-        data = tail.read_bytes()
-        pos = 0
-        while pos + _RECORD_HEADER.size <= len(data):
-            crc, length = _RECORD_HEADER.unpack_from(data, pos)
-            end = pos + _RECORD_HEADER.size + length
-            if end > len(data):
-                break
-            payload = data[pos + _RECORD_HEADER.size : end]
-            if zlib.crc32(payload) != crc:
-                break
-            try:
-                record = _decode_payload(payload)
-            except ProtocolError:
-                break
+        for record, valid_end in self._iter_segment(tail, is_tail=True):
             last_seq = record.seq
-            valid_end = end
-            pos = end
-        if valid_end < len(data):
+        if valid_end < tail.stat().st_size:
             with open(tail, "r+b") as handle:
                 handle.truncate(valid_end)
         self.last_seq = max(self.last_seq, last_seq)
-        if not valid_end and len(segments) > 1:
-            # The torn segment held nothing valid at all; its sequence
-            # floor is still authoritative for last_seq.
-            self.last_seq = max(self.last_seq, _segment_first_seq(tail) - 1)
 
     # -- appending -------------------------------------------------------
     def _open_segment(self, first_seq: int) -> None:
@@ -366,36 +351,43 @@ class WriteAheadLog:
 
     # -- reading ---------------------------------------------------------
     def _iter_segment(
-        self, path: Path, *, is_tail: bool
+        self, path: Path, *, is_tail: bool, offset: int = 0
     ) -> Iterator[tuple[WalRecord, int]]:
-        """Yield (record, end_offset) pairs from one segment file."""
+        """Yield (record, end_offset) pairs from one segment file.
+
+        Parsing starts at the record boundary ``offset``; no byte before
+        it is read.  Records appended after the call starts are left for
+        the next one.
+        """
         try:
-            data = path.read_bytes()
+            handle = open(path, "rb")
         except FileNotFoundError:
             return
-        pos = 0
-        while pos + _RECORD_HEADER.size <= len(data):
-            crc, length = _RECORD_HEADER.unpack_from(data, pos)
-            end = pos + _RECORD_HEADER.size + length
-            if end > len(data):
-                if is_tail:
-                    return
-                raise WalCorruptionError(f"{path}: truncated mid-log record")
-            payload = data[pos + _RECORD_HEADER.size : end]
-            if zlib.crc32(payload) != crc:
-                if is_tail:
-                    return
-                raise WalCorruptionError(f"{path}: CRC mismatch mid-log")
-            try:
-                record = _decode_payload(payload)
-            except ProtocolError as exc:
-                if is_tail:
-                    return
-                raise WalCorruptionError(f"{path}: malformed record") from exc
-            yield record, end
-            pos = end
-        if pos != len(data) and not is_tail:
-            raise WalCorruptionError(f"{path}: trailing garbage mid-log")
+        with handle:
+            size = os.fstat(handle.fileno()).st_size
+            handle.seek(offset)
+            pos, problem = offset, "trailing garbage mid-log"
+            while pos + _RECORD_HEADER.size <= size:
+                crc, length = _RECORD_HEADER.unpack(
+                    handle.read(_RECORD_HEADER.size)
+                )
+                end = pos + _RECORD_HEADER.size + length
+                if end > size:
+                    problem = "truncated mid-log record"
+                    break
+                payload = handle.read(length)
+                if zlib.crc32(payload) != crc:
+                    problem = "CRC mismatch mid-log"
+                    break
+                try:
+                    record = _decode_payload(payload)
+                except ProtocolError:
+                    problem = "malformed record"
+                    break
+                yield record, end
+                pos = end
+        if pos < size and not is_tail:
+            raise WalCorruptionError(f"{path}: {problem}")
 
     def replay(self, *, start_seq: int = 1) -> Iterator[WalRecord]:
         """Yield every durable record with ``seq >= start_seq`` in order."""
@@ -422,19 +414,22 @@ class WriteAheadLog:
         """Read up to ``max_records`` from ``start_seq``, resumably.
 
         Pass the returned cursor back (with the next ``start_seq``) to
-        continue without rescanning.  A stale cursor (rotated or
-        compacted segment, or a seek mismatch) silently falls back to a
-        fresh scan.  Returns ``([], cursor)`` at the durable tail.
+        continue from its byte offset, parsing only records appended
+        since.  A stale cursor (rotated or compacted segment, or a seek
+        mismatch: no record ``start_seq`` at its offset) silently falls
+        back to a fresh scan.  Returns ``([], cursor)`` at the durable
+        tail.
         """
-        if cursor is not None and (
-            cursor.next_seq != start_seq or not cursor.segment.exists()
-        ):
-            cursor = None
+        last_seq = self.last_seq
         segments = self.segments()
         if not segments:
             return [], None
-        out: list[WalRecord] = []
-        if cursor is None:
+        resumed = (
+            cursor is not None
+            and cursor.next_seq == start_seq
+            and cursor.segment in segments
+        )
+        if not resumed:
             # Locate the segment that could contain start_seq.
             target = segments[0]
             for path in segments:
@@ -443,35 +438,39 @@ class WriteAheadLog:
                 else:
                     break
             cursor = WalCursor(segment=target, offset=0, next_seq=start_seq)
-        while len(out) < max_records:
-            is_tail = cursor.segment == segments[-1]
-            for record, end in self._iter_segment_from(
-                cursor.segment, cursor.offset, is_tail=is_tail
-            ):
-                cursor.offset = end
-                if record.seq >= start_seq:
-                    out.append(record)
-                    cursor.next_seq = record.seq + 1
-                    start_seq = record.seq + 1
-                if len(out) >= max_records:
-                    break
-            if len(out) >= max_records or is_tail:
-                break
+        out: list[WalRecord] = []
+        index = segments.index(cursor.segment)
+        while True:
+            is_tail = index == len(segments) - 1
+            try:
+                for record, end in self._iter_segment(
+                    cursor.segment, is_tail=is_tail, offset=cursor.offset
+                ):
+                    if resumed and record.seq != start_seq:
+                        raise WalCorruptionError("seek mismatch")
+                    resumed = False
+                    cursor.offset = end
+                    if record.seq >= start_seq:
+                        out.append(record)
+                        cursor.next_seq = start_seq = record.seq + 1
+                        if len(out) >= max_records:
+                            return out, cursor
+            except WalCorruptionError:
+                if not resumed:
+                    raise
+                return self.read(start_seq, max_records=max_records)
+            if resumed and is_tail and start_seq <= last_seq:
+                # The tail ends at (or before) the offset, yet start_seq
+                # is durable: the offset is stale.
+                return self.read(start_seq, max_records=max_records)
+            if is_tail:
+                return out, cursor
             # Current segment exhausted; move to the next one.
-            index = segments.index(cursor.segment)
-            if index + 1 >= len(segments):
-                break
+            index += 1
+            resumed = False
             cursor = WalCursor(
-                segment=segments[index + 1], offset=0, next_seq=start_seq
+                segment=segments[index], offset=0, next_seq=start_seq
             )
-        return out, cursor
-
-    def _iter_segment_from(
-        self, path: Path, offset: int, *, is_tail: bool
-    ) -> Iterator[tuple[WalRecord, int]]:
-        for record, end in self._iter_segment(path, is_tail=is_tail):
-            if end > offset:
-                yield record, end
 
     # -- compaction ------------------------------------------------------
     def truncate_through(self, seq: int) -> int:

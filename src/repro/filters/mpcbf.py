@@ -47,6 +47,7 @@ from repro.hashing.families import PartitionedHashFamily
 from repro.kernels.columnar import (
     ColumnarHCBF,
     WordsView,
+    counts_dtype,
     counts_from_levels,
     probe_mirror,
 )
@@ -229,13 +230,6 @@ class MPCBF(CountingFilterBase):
         if self.columns is not None:
             return self.columns.saturated_dict()
         return self._saturated_map
-
-    @_saturated.setter
-    def _saturated(self, value: dict[int, int]) -> None:
-        if self.columns is not None:
-            self.columns.set_saturated(dict(value))
-        else:
-            self._saturated_map = dict(value)
 
     @property
     def stored_hash_bits(self) -> int:
@@ -652,16 +646,7 @@ class MPCBF(CountingFilterBase):
         contents, ``overflow_events`` and raise points stay identical.
         """
         col = self.columns
-        if other.columns is not None:
-            other_counts = other.columns.counts.astype(np.int64)
-        else:
-            other_counts = np.zeros(
-                (self.num_words, self.first_level_bits), dtype=np.int64
-            )
-            for i, word in enumerate(other._words_list):
-                other_counts[i] = counts_from_levels(
-                    word._sizes, word._levels, self.first_level_bits
-                )
+        other_counts = other.counts_matrix().astype(np.int64)
         other_saturated = dict(other._saturated)
         incoming = other_counts.sum(axis=1)
         has_load = incoming > 0
@@ -710,38 +695,37 @@ class MPCBF(CountingFilterBase):
                     self.overflow_events += 1
 
     # -- kernel conversion ------------------------------------------------
-    def dump_level_state(self) -> list[list]:
-        """Canonical per-word ``[sizes, hex level bitmaps]`` blob.
+    def counts_matrix(self) -> np.ndarray:
+        """Every word's counter values, ``(l, b1)``: the whole hierarchy.
 
-        Identical for both kernels holding the same contents — the
-        contract :func:`repro.serialize.dump_filter` relies on for
-        byte-identical snapshots across backends.
+        With the saturated words' overlays this is the filter's complete
+        state (see :mod:`repro.kernels.columnar`), in one dtype for both
+        kernels.  The columnar kernel returns its live array.
         """
         if self.columns is not None:
-            out = []
-            for i in range(self.num_words):
-                sizes, levels = self.columns.word_level_state(i)
-                out.append([sizes, [hex(v) for v in levels]])
-            return out
-        out = []
-        for word in self._words_list:
-            sizes = list(word.level_sizes())
-            levels = [hex(word.level_bits(i)) for i in range(word.depth)]
-            out.append([sizes, levels])
-        return out
+            return self.columns.counts
+        return np.array(
+            [
+                counts_from_levels(w._sizes, w._levels, self.first_level_bits)
+                for w in self._words_list
+            ],
+            dtype=counts_dtype(self.word_bits - self.first_level_bits),
+        ).reshape(self.num_words, self.first_level_bits)
 
-    def load_level_state(self, blob: list) -> None:
-        """Load hierarchy contents produced by :meth:`dump_level_state`."""
-        if self.columns is not None:
-            for i, (sizes, levels) in enumerate(blob):
-                self.columns.set_word_level_state(
-                    i, [int(s) for s in sizes], [int(h, 16) for h in levels]
-                )
-            self.columns.rebuild_derived()
-            return
-        for word, (sizes, levels) in zip(self._words_list, blob):
-            word._sizes = [int(s) for s in sizes]
-            word._levels = [int(h, 16) for h in levels]
+    def load_counts(self, counts: np.ndarray, saturated: dict[int, int]) -> None:
+        """Replace the state with a :meth:`counts_matrix` and the
+        ``{word index: overlay}`` map of saturated words."""
+        cols = self.columns
+        if cols is None:
+            cols = ColumnarHCBF(self.num_words, self.word_bits, self.first_level_bits)
+        cols.counts[...] = counts
+        cols.set_saturated(saturated)
+        cols.rebuild_derived()
+        if self.columns is None:
+            for i, word in enumerate(self._words_list):
+                word._sizes, word._levels = cols.word_level_state(i)
+            self._saturated_map = dict(saturated)
+            self._mirror_arr[...] = cols.mirror
 
     def with_kernel(self, kernel: str) -> "MPCBF":
         """Deep copy of this filter on the requested kernel backend."""
@@ -757,9 +741,7 @@ class MPCBF(CountingFilterBase):
             encoder=self.encoder,
         )
         clone.capacity = self.capacity
-        clone.load_level_state(self.dump_level_state())
-        clone._saturated = dict(self._saturated)
-        clone._mirror[...] = self._mirror
+        clone.load_counts(self.counts_matrix(), self._saturated)
         clone.overflow_events = self.overflow_events
         clone.skipped_deletes = self.skipped_deletes
         clone.stats.merge(self.stats)

@@ -11,7 +11,8 @@ module stores the *same information* columnarly across all ``l`` words:
   ``count ≥ j`` (in ascending position order — popcount child indexing
   preserves position order level by level) and the slot's bit is set
   iff ``count ≥ j + 1``.  :meth:`word_level_state` /
-  :meth:`set_word_level_state` are the exact bijection.
+  :func:`counts_from_levels` are the exact bijection, so ``counts`` is
+  a word's whole serialised state (see :mod:`repro.serialize`).
 * ``hist[w, j]`` — the size of level ``j`` (``#{pos: counts ≥ j}``),
   i.e. ``HCBFWord._sizes[j]``.  Traversal-bandwidth accounting only
   ever reads level sizes (``Σ log2 |v_j|``), so the paper's hash-bit
@@ -155,6 +156,20 @@ def _bits_to_int(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def counts_dtype(capacity: int) -> np.dtype:
+    """Counter dtype for a ``w − b1`` hierarchy budget: u8 when it fits."""
+    return np.dtype(np.uint8 if capacity <= 255 else np.int32)
+
+
+def pack_first_level(counts: np.ndarray, limbs: int) -> np.ndarray:
+    """``(rows, limbs)`` uint64 first-level bitmaps (bit set iff count > 0)."""
+    packed = np.packbits(counts > 0, axis=1, bitorder="little")
+    pad = limbs * 8 - packed.shape[1]
+    if pad:
+        packed = np.pad(packed, ((0, 0), (0, pad)))
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
 def counts_from_levels(sizes: list, levels: list, first_level_bits: int) -> np.ndarray:
     """Decode an ``HCBFWord``'s ``(_sizes, _levels)`` into counter values.
 
@@ -184,8 +199,9 @@ class ColumnarHCBF:
         #: Hierarchy bit budget per word, ``w − b1`` (= HCBFWord capacity).
         self.capacity = word_bits - first_level_bits
         self.limbs = -(-first_level_bits // 64)
-        counts_dtype = np.uint8 if self.capacity <= 255 else np.int32
-        self.counts = np.zeros((num_words, first_level_bits), dtype=counts_dtype)
+        self.counts = np.zeros(
+            (num_words, first_level_bits), dtype=counts_dtype(self.capacity)
+        )
         self.used = np.zeros(num_words, dtype=np.int64)
         self.hist = np.zeros((num_words, self.capacity + 2), dtype=np.int32)
         self.mirror = np.zeros((num_words, self.limbs), dtype=np.uint64)
@@ -660,25 +676,12 @@ class ColumnarHCBF:
         word._levels = levels
         return word
 
-    def to_words(self) -> list:
-        """Materialise scalar :class:`HCBFWord` snapshots of every word."""
-        return [self.word_at(i) for i in range(self.num_words)]
-
-    def load_words(self, words: list) -> None:
-        """Load counters from scalar words, then rebuild derived arrays."""
-        for i, word in enumerate(words):
-            self.counts[i] = counts_from_levels(
-                word._sizes, word._levels, self.first_level_bits
-            ).astype(self.counts.dtype)
-        self.rebuild_derived()
-
     def rebuild_derived(self) -> None:
         """Recompute ``used``/``hist``/``mirror`` from ``counts``."""
-        counts = self.counts.astype(np.int64)
-        self.used[:] = counts.sum(axis=1)
+        self.used[:] = self.counts.sum(axis=1, dtype=np.int64)
         self.hist[:] = 0
-        for j in range(1, int(counts.max(initial=0)) + 1):
-            self.hist[:, j] = (counts >= j).sum(axis=1)
+        for j in range(1, int(self.counts.max(initial=0)) + 1):
+            self.hist[:, j] = (self.counts >= j).sum(axis=1)
         self.rebuild_mirror_rows(None)
 
     def rebuild_hist_rows(self, rows: np.ndarray) -> None:
@@ -692,13 +695,9 @@ class ColumnarHCBF:
     def rebuild_mirror_rows(self, rows: np.ndarray | None) -> None:
         """Repack first-level limbs (``counts > 0`` | overlay) for ``rows``."""
         index = slice(None) if rows is None else rows
-        bits = (self.counts[index] > 0).astype(np.uint8)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        pad = self.limbs * 8 - packed.shape[1]
-        if pad:
-            packed = np.pad(packed, ((0, 0), (0, pad)))
-        limbs = np.ascontiguousarray(packed).view(np.uint64)
-        self.mirror[index] = limbs | self.overlay[index]
+        self.mirror[index] = (
+            pack_first_level(self.counts[index], self.limbs) | self.overlay[index]
+        )
 
     # -- process sharing ---------------------------------------------------
     def shareable_arrays(self) -> dict[str, np.ndarray]:
@@ -727,12 +726,7 @@ class ColumnarHCBF:
             assert not self.overlay[~self.sat_mask].any(), (
                 "overlay bits on unsaturated word"
             )
-        bits = (counts > 0).astype(np.uint8)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        pad = self.limbs * 8 - packed.shape[1]
-        if pad:
-            packed = np.pad(packed, ((0, 0), (0, pad)))
-        expect_mirror = np.ascontiguousarray(packed).view(np.uint64) | self.overlay
+        expect_mirror = pack_first_level(counts, self.limbs) | self.overlay
         assert (self.mirror == expect_mirror).all(), "mirror desync"
 
 

@@ -14,6 +14,12 @@ explicit dtype/shape in the config so the reader never guesses.
 Only filter *state* is serialised — hash seeds travel in the config, so
 the reconstructed filter answers queries identically (tested
 byte-for-byte in ``tests/test_serialize.py``).
+
+An MPCBF's payload is its counter matrix (``l × b1``, u8 when
+``w − b1 ≤ 255``, else int32), which determines every word's popcount
+hierarchy, plus the saturated words' overlays in the config.  Both
+kernels write the same matrix; load is one ``frombuffer`` and a rebuild
+of the derived arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ __all__ = [
 
 _MAGIC = b"MPCB"
 _BANK_MAGIC = b"MPBK"
-_VERSION = 1
+_VERSION = 2
 
 
 def _write_array(buf: io.BytesIO, arr: np.ndarray) -> dict:
@@ -63,8 +69,17 @@ def _write_array(buf: io.BytesIO, arr: np.ndarray) -> dict:
 
 
 def _read_array(payload: bytes, desc: dict) -> np.ndarray:
-    raw = payload[desc["offset"] : desc["offset"] + desc["nbytes"]]
-    return np.frombuffer(raw, dtype=desc["dtype"]).reshape(desc["shape"]).copy()
+    end = desc["offset"] + desc["nbytes"]
+    if end > len(payload):
+        raise ConfigurationError(
+            f"serialised payload too short: an array ends at byte {end}, "
+            f"the payload holds {len(payload)}"
+        )
+    try:
+        arr = np.frombuffer(payload[desc["offset"] : end], dtype=desc["dtype"])
+        return arr.reshape(desc["shape"]).copy()
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed array descriptor {desc}") from exc
 
 
 def dump_filter(filt: FilterBase) -> bytes:
@@ -156,15 +171,15 @@ def dump_filter(filt: FilterBase) -> bytes:
             n_max=filt.n_max,
             first_level_bits=filt.first_level_bits,
             word_overflow=filt.word_overflow,
-            # dump_level_state() is kernel-independent and saturated is
-            # sorted, so columnar and scalar backends holding the same
-            # contents serialise to identical bytes (the kernel choice
-            # itself is a runtime concern and is deliberately omitted).
-            words=filt.dump_level_state(),
+            # counts_matrix() has one dtype for both kernels and
+            # saturated is sorted, so columnar and scalar backends
+            # holding the same contents serialise to identical bytes
+            # (the kernel choice itself is a runtime concern and is
+            # deliberately omitted).
             saturated={
                 str(i): hex(v) for i, v in sorted(filt._saturated.items())
             },
-            mirror=_write_array(state, filt._mirror),
+            counts=_write_array(state, filt.counts_matrix()),
         )
     else:
         raise ConfigurationError(
@@ -295,12 +310,16 @@ def load_filter(data: bytes) -> FilterBase:
                 "geometry mismatch reconstructing MPCBF "
                 f"(n_max {filt.n_max} != {config['n_max']})"
             )
-        filt.load_level_state(config["words"])
-        filt._saturated = {
-            int(i): int(v, 16) for i, v in config["saturated"].items()
-        }
-        mirror = _read_array(payload, config["mirror"]).astype(np.uint64)
-        filt._mirror[...] = mirror
+        counts = _read_array(payload, config["counts"])
+        if counts.shape != (filt.num_words, filt.first_level_bits):
+            raise ConfigurationError(
+                f"geometry mismatch reconstructing MPCBF (counts shape "
+                f"{counts.shape} != {(filt.num_words, filt.first_level_bits)})"
+            )
+        filt.load_counts(
+            counts,
+            {int(i): int(v, 16) for i, v in config["saturated"].items()},
+        )
         return filt
     raise ConfigurationError(f"unknown serialised variant {variant!r}")
 

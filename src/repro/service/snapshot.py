@@ -10,12 +10,11 @@ new complete snapshot, never a torn write.
 well from a single-filter dump (``MPCB``) or a sharded-bank dump
 (``MPBK``).
 
-Integrity: snapshots carry an 8-byte trailer — ``MPCK`` + the CRC32 of
-everything before it — so a corrupted dump fails loudly at restore time
-instead of restoring silently-wrong counters.  Dumps written before the
-trailer existed load unchanged (no trailer, no check); truncation of a
-trailered dump removes the trailer and is then caught by the array
-length checks in :mod:`repro.serialize`.
+Integrity: every snapshot carries an 8-byte trailer — ``MPCK`` + the
+CRC32 of everything before it — so a corrupted dump fails loudly at
+restore time instead of restoring silently-wrong counters.  A blob
+without a trailer (for instance one cut short by a torn copy, which
+takes the trailer with it) is rejected, never loaded unchecked.
 
 Cluster nodes additionally need each snapshot to record *which* WAL
 sequence it covers, and that pairing must be crash-atomic — a snapshot
@@ -66,8 +65,8 @@ def _split_trailer(
 ) -> tuple[bytes, int | None]:
     """Strip and verify the integrity trailer: ``(payload, wal_seq)``.
 
-    ``wal_seq`` is None for trailer-less and plain-CRC (``MPCK``) dumps;
-    either CRC flavour raises on mismatch.
+    ``wal_seq`` is None for plain-CRC (``MPCK``) dumps.  A CRC mismatch
+    in either flavour, or no trailer at all, raises.
     """
     if len(data) >= _CRC_TRAILER.size:
         magic, crc = _CRC_TRAILER.unpack_from(data, len(data) - _CRC_TRAILER.size)
@@ -85,7 +84,9 @@ def _split_trailer(
                 )
             (wal_seq,) = _U64.unpack_from(data, len(data) - _SEQ_TRAILER.size)
             return data[: -_SEQ_TRAILER.size], wal_seq
-    return data, None
+    raise ConfigurationError(
+        f"{source}: snapshot has no integrity trailer (truncated or not a snapshot)"
+    )
 
 
 def _append_trailer(blob: bytes, wal_seq: int | None) -> bytes:
@@ -116,7 +117,7 @@ def snapshot_wal_seq(data: bytes) -> int | None:
 def with_snapshot_seq(data: bytes, wal_seq: int, *, source: str = "snapshot") -> bytes:
     """Re-trailer a snapshot blob so it records ``wal_seq``.
 
-    Verifies the incoming trailer (if any) before rewriting it — used
+    Verifies the incoming trailer before rewriting it — used
     when a replica persists a primary's state transfer, where the
     covered sequence arrives beside the blob rather than inside it.
     """
@@ -147,7 +148,6 @@ def _write_bytes_atomic(
     return {
         "path": str(path),
         "bytes": len(blob),
-        "crc32": zlib.crc32(_split_trailer(blob, source=str(path))[0]),
         "elapsed_s": time.perf_counter() - started,
     }
 
@@ -159,17 +159,21 @@ def write_snapshot(
     wal_seq: int | None = None,
     storage: Storage | None = None,
 ) -> dict:
-    """Atomically write a snapshot; returns a small report dict."""
-    return _write_bytes_atomic(
-        snapshot_bytes(filt, wal_seq=wal_seq), Path(path), storage=storage
-    )
+    """Atomically write a snapshot; returns a small report dict.
+
+    The report's ``crc32`` is the checksum the trailer records.
+    """
+    blob = snapshot_bytes(filt, wal_seq=wal_seq)
+    report = _write_bytes_atomic(blob, Path(path), storage=storage)
+    (report["crc32"],) = _U32.unpack_from(blob, len(blob) - _U32.size)
+    return report
 
 
 def load_snapshot_bytes(data: bytes, *, source: str = "snapshot"):
     """Load a snapshot blob (filter or bank), verifying its CRC trailer.
 
-    Pre-trailer dumps (nothing to verify) still load — the check only
-    applies when an ``MPCK``/``MPCS`` trailer is present.
+    A blob without an ``MPCK``/``MPCS`` trailer raises
+    :class:`~repro.errors.ConfigurationError` naming ``source``.
     """
     data, _ = _split_trailer(data, source=source)
     if data[:4] == b"MPBK":

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster.wal import FsyncPolicy, WriteAheadLog
+from repro.cluster.wal import FsyncPolicy, WalCursor, WriteAheadLog
 from repro.errors import ConfigurationError, WalCorruptionError
 from repro.service.client import wire_keys
 from repro.service.protocol import Opcode
@@ -134,6 +137,111 @@ class TestRead:
         wal.append(Opcode.BULK64_INSERT, wire_keys([b"live"]))
         got, cursor = wal.read(11, cursor=cursor)
         assert [r.seq for r in got] == [11]
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), st.integers(1, 12)),
+                st.tuples(st.just("read"), st.integers(1, 6)),
+                st.tuples(st.just("truncate"), st.integers(0, 3)),
+                st.tuples(st.just("reset"), st.integers(0, 3)),
+            ),
+            max_size=25,
+        )
+    )
+    def test_resumed_reads_match_fresh_reads(self, tmp_path_factory, actions):
+        """A tailing reader sees exactly what a fresh scan would, across
+        rotation, compaction (truncate_through) and reset_to."""
+        wal = WriteAheadLog(tmp_path_factory.mktemp("wal"), segment_bytes=150)
+        next_seq, cursor = 1, None
+        for verb, n in actions:
+            if verb == "append":
+                for _ in range(n):
+                    wal.append(Opcode.BULK64_INSERT, keys_of(wal.last_seq))
+            elif verb == "truncate":
+                wal.truncate_through(max(0, next_seq - 1 - n))
+            elif verb == "reset":
+                wal.reset_to(wal.last_seq + n)
+            if verb != "read":
+                continue
+            # A compacted start point is the caller's cue for a state
+            # transfer (replication does exactly this); skip ahead.
+            next_seq = max(next_seq, wal.first_seq)
+            fresh, _ = wal.read(next_seq, max_records=n)
+            got, cursor = wal.read(next_seq, cursor=cursor, max_records=n)
+            assert [(r.seq, r.keys.tolist()) for r in got] == [
+                (r.seq, r.keys.tolist()) for r in fresh
+            ]
+            if got:
+                assert got[0].seq == next_seq
+                next_seq = got[-1].seq + 1
+        next_seq = max(next_seq, wal.first_seq)
+        tail = list(range(next_seq, wal.last_seq + 1))
+        collected = []
+        while True:
+            got, cursor = wal.read(next_seq, cursor=cursor, max_records=4)
+            if not got:
+                break
+            collected.extend(r.seq for r in got)
+            next_seq = got[-1].seq + 1
+        assert collected == tail
+
+    def test_seek_mismatch_falls_back_to_fresh_scan(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        for i in range(6):
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
+        got, cursor = wal.read(1, max_records=2)
+        assert [r.seq for r in got] == [1, 2]
+        # The offset now starts record 3, but the caller claims seq 5:
+        # the first record parsed there does not match, so rescan.
+        stale = WalCursor(cursor.segment, cursor.offset, next_seq=5)
+        got, fixed = wal.read(5, cursor=stale, max_records=10)
+        assert [r.seq for r in got] == [5, 6]
+        assert fixed.next_seq == 7
+        # An offset inside a record, or past the end of the segment,
+        # is a mismatch too.
+        for offset in (cursor.offset + 3, 10**6):
+            bad = WalCursor(cursor.segment, offset, next_seq=3)
+            got, _ = wal.read(3, cursor=bad, max_records=10)
+            assert [r.seq for r in got] == [3, 4, 5, 6]
+
+    def test_resumed_read_reads_nothing_before_its_offset(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.cluster.wal as wal_module
+
+        wal = WriteAheadLog(tmp_path)
+        for i in range(50):
+            wal.append(Opcode.BULK64_INSERT, keys_of(i))
+        _, cursor = wal.read(1, max_records=50)
+        wal.append(Opcode.BULK64_INSERT, keys_of(50))
+        reads: list[tuple[int, int]] = []
+
+        class SpyFile(io.FileIO):
+            # Unbuffered, so every read here is one read(2) of the file.
+            def read(self, size=-1):
+                start = self.tell()
+                data = super().read(size)
+                reads.append((start, len(data)))
+                return data
+
+        monkeypatch.setattr(
+            wal_module, "open", lambda path, mode: SpyFile(path, "r"),
+            raising=False,
+        )
+        offset = cursor.offset
+        got, _ = wal.read(51, cursor=cursor)
+        assert [r.seq for r in got] == [51]
+        assert reads and min(start for start, _ in reads) == offset
+        # The fresh scan the resumed read replaces would start at 0.
+        reads.clear()
+        wal.read(51)
+        assert min(start for start, _ in reads) == 0
 
     def test_fsync_policy_counters(self, tmp_path):
         always = WriteAheadLog(tmp_path / "a", fsync=FsyncPolicy.ALWAYS)

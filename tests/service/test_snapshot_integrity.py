@@ -1,4 +1,4 @@
-"""Snapshot CRC trailer: corruption detection + legacy compatibility."""
+"""Snapshot CRC trailer: corruption and truncation detection."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.filters.factory import FilterSpec, build_filter
+from repro.parallel.sharded import ShardedFilterBank
 from repro.serialize import dump_filter
 from repro.service.snapshot import (
     load_snapshot,
@@ -35,6 +36,15 @@ def make_filter(seed=2):
     return filt
 
 
+def make_bank():
+    bank = ShardedFilterBank(
+        FilterSpec(variant="MPCBF-1", memory_bits=32 * 4096, k=3, capacity=1000),
+        2,
+    )
+    bank.insert_many([b"crc-%d" % i for i in range(500)])
+    return bank
+
+
 class TestCrcTrailer:
     def test_roundtrip_with_trailer(self, tmp_path):
         filt = make_filter()
@@ -56,13 +66,28 @@ class TestCrcTrailer:
         with pytest.raises(ConfigurationError, match="CRC mismatch"):
             load_snapshot(path)
 
-    def test_legacy_snapshot_without_trailer_still_loads(self, tmp_path):
-        # Dumps written before the trailer existed: raw serialize bytes.
-        filt = make_filter()
-        path = tmp_path / "legacy.snap"
-        path.write_bytes(dump_filter(filt))
-        restored = load_snapshot(path)
-        assert all(restored.query_many([b"crc-%d" % i for i in range(500)]))
+    def test_snapshot_without_trailer_is_rejected(self, tmp_path):
+        # Raw serialize bytes carry no CRC: nothing vouches for them.
+        path = tmp_path / "bare.snap"
+        path.write_bytes(dump_filter(make_filter()))
+        with pytest.raises(ConfigurationError, match="bare.snap.*no integrity trailer"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("wal_seq", [None, 7], ids=["MPCK", "MPCS"])
+    @pytest.mark.parametrize("bank", [False, True], ids=["filter", "bank"])
+    def test_truncated_snapshot_is_rejected(self, wal_seq, bank):
+        # Cutting bytes off the end takes the trailer (or part of it)
+        # with it; the blob must never fall through to an unchecked load.
+        filt = make_bank() if bank else make_filter()
+        blob = snapshot_bytes(filt, wal_seq=wal_seq)
+        for cut in range(1, 17):
+            torn = blob[:-cut]
+            with pytest.raises(ConfigurationError):
+                load_snapshot_bytes(torn)
+            with pytest.raises(ConfigurationError):
+                snapshot_wal_seq(torn)
+            with pytest.raises(ConfigurationError):
+                with_snapshot_seq(torn, 3)
 
     def test_bad_magic_raises_with_source(self, tmp_path):
         with pytest.raises(ConfigurationError, match="somewhere"):
@@ -89,12 +114,13 @@ class TestSeqTrailer:
     def test_plain_and_legacy_dumps_carry_no_seq(self):
         filt = make_filter()
         assert snapshot_wal_seq(snapshot_bytes(filt)) is None
-        assert snapshot_wal_seq(dump_filter(filt)) is None
+        # A trailer-less dump has no seq to report: it is rejected.
+        with pytest.raises(ConfigurationError, match="no integrity trailer"):
+            snapshot_wal_seq(dump_filter(filt))
 
     def test_with_snapshot_seq_rewrites_every_trailer_flavour(self):
         filt = make_filter()
         for blob in (
-            dump_filter(filt),  # trailer-less legacy dump
             snapshot_bytes(filt),  # plain MPCK trailer
             snapshot_bytes(filt, wal_seq=7),  # already seq-carrying
         ):
@@ -104,6 +130,9 @@ class TestSeqTrailer:
             assert all(
                 restored.query_many([b"crc-%d" % i for i in range(500)])
             )
+        # A trailer-less dump is not re-stamped into a checked snapshot.
+        with pytest.raises(ConfigurationError, match="no integrity trailer"):
+            with_snapshot_seq(dump_filter(filt), 42)
 
     def test_seq_trailer_corruption_is_detected(self):
         blob = bytearray(snapshot_bytes(make_filter(), wal_seq=9))

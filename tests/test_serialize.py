@@ -297,3 +297,104 @@ class TestStorageLayoutRoundTrips:
         restored.delete("x")
         assert not restored.query("x")
         restored.check_invariants()
+
+
+class TestMpcbfPayload:
+    """The MPCBF payload is the counter matrix: exact, kernel-neutral."""
+
+    from hypothesis import given, settings, strategies as st
+
+    # (num_words, word_bits, k, g, first_level_bits): tiny words, words
+    # that overflow into saturation, and a budget w − b1 > 255 that
+    # needs int32 counters.
+    GEOMETRIES = [
+        (1, 64, 3, 1, 40),
+        (4, 64, 4, 2, 48),
+        (8, 32, 2, 1, 24),
+        (3, 320, 3, 1, 16),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(GEOMETRIES),
+        st.sampled_from(["columnar", "scalar"]),
+        st.integers(0, 3),
+        st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(0, 60), max_size=20)),
+            max_size=12,
+        ),
+    )
+    def test_round_trip_is_byte_exact_across_kernels(
+        self, geometry, kernel, seed, ops
+    ):
+        from repro.errors import ReproError
+
+        num_words, word_bits, k, g, b1 = geometry
+        filt = MPCBF(
+            num_words, word_bits, k, g=g, first_level_bits=b1, seed=seed,
+            word_overflow="saturate", kernel=kernel,
+        )
+        for insert, ids in ops:
+            keys = [f"p{i}" for i in ids]
+            try:
+                (filt.insert_many if insert else filt.delete_many)(keys)
+            except ReproError:
+                pass  # underflowing deletes: the prefix stays applied
+        blob = dump_filter(filt)
+        restored = load_filter(blob)
+        assert dump_filter(restored) == blob
+        restored.check_invariants()
+        np.testing.assert_array_equal(restored._mirror, filt._mirror)
+        assert restored._saturated == filt._saturated
+        other = "scalar" if kernel == "columnar" else "columnar"
+        twin = restored.with_kernel(other)
+        twin.check_invariants()
+        assert dump_filter(twin) == blob
+        probes = [f"p{i}" for i in range(80)]
+        np.testing.assert_array_equal(
+            twin.count_many(probes), filt.count_many(probes)
+        )
+
+    @pytest.mark.parametrize(
+        "word_bits, b1, dtype", [(64, 40, "uint8"), (320, 16, "int32")]
+    )
+    def test_payload_is_the_counter_matrix(self, word_bits, b1, dtype):
+        import json
+        import struct
+
+        filt = MPCBF(
+            16, word_bits, 3, first_level_bits=b1, seed=4,
+            word_overflow="saturate",
+        )
+        filt.insert_many([f"s{i}" for i in range(2000)])
+        assert filt._saturated  # the overlay rides in the config
+        blob = dump_filter(filt)
+        assert blob[:4] == b"MPCB"
+        assert struct.unpack_from("<I", blob, 4) == (2,)
+        (config_len,) = struct.unpack_from("<I", blob, 8)
+        config = json.loads(blob[12 : 12 + config_len])
+        payload = blob[12 + config_len :]
+        # No per-word JSON and no derived arrays: l × b1 counters only.
+        assert "words" not in config and "mirror" not in config
+        assert config["counts"] == {
+            "dtype": dtype,
+            "shape": [16, b1],
+            "offset": 0,
+            "nbytes": 16 * b1 * np.dtype(dtype).itemsize,
+        }
+        assert payload == filt.counts_matrix().tobytes()
+        assert config["saturated"] == {
+            str(i): hex(v) for i, v in sorted(filt._saturated.items())
+        }
+
+    def test_version_one_blob_is_rejected(self):
+        blob = bytearray(dump_filter(MPCBF(8, 64, 3, n_max=5)))
+        blob[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(ConfigurationError, match="version 1"):
+            load_filter(bytes(blob))
+
+    def test_short_payload_raises_configuration_error(self):
+        blob = dump_filter(MPCBF(8, 64, 3, n_max=5))
+        for cut in (1, 7, 100):
+            with pytest.raises(ConfigurationError, match="too short"):
+                load_filter(blob[:-cut])
