@@ -61,11 +61,12 @@ def test_snapshot_dump_and_load_floors(bank):
     shard = bank.shards[0]
     assert (shard.num_words, shard.first_level_bits) == (32_768, 40)
     dump_s, blob = _best_of(lambda: snapshot_bytes(bank, wal_seq=1))
-    load_s, restored = _best_of(lambda: load_snapshot_bytes(blob))
+    load_s, (restored, wal_seq) = _best_of(lambda: load_snapshot_bytes(blob))
     print(
         f"\nsnapshot of 2 x 32768 words: {len(blob) / 1e6:.2f} MB, "
         f"dump {dump_s * 1e3:.1f} ms, load {load_s * 1e3:.1f} ms"
     )
     assert dump_bank(restored) == dump_bank(bank)
+    assert wal_seq == 1
     assert dump_s < DUMP_FLOOR_S, f"dump took {dump_s:.3f} s"
     assert load_s < LOAD_FLOOR_S, f"load took {load_s:.3f} s"

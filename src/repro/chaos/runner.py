@@ -55,9 +55,9 @@ from repro.chaos.storage import FaultyStorage
 from repro.cluster.node import build_node_server, recover_node
 from repro.errors import ReproError
 from repro.filters.factory import FilterSpec, build_filter
+from repro.serialize import dump_filter
 from repro.service.client import AsyncFilterClient, wire_keys
 from repro.service.protocol import Opcode, ProtocolError, RemoteError
-from repro.service.snapshot import _split_trailer, snapshot_bytes
 
 __all__ = ["ChaosRunner", "run_seed"]
 
@@ -93,8 +93,8 @@ _ORACLE_SPEC = FilterSpec(
 
 
 def _payload(filt) -> bytes:
-    """Serialised filter state with the integrity trailer stripped."""
-    return _split_trailer(snapshot_bytes(filt))[0]
+    """Serialised filter state (the snapshot payload, no trailer)."""
+    return dump_filter(filt)
 
 
 class _Node:

@@ -13,7 +13,8 @@ rng-chosen cut inside ``[synced, written]`` — the *torn tail* a real
 power loss can leave, which the WAL's recovery scan must tolerate.
 On top of that, fsyncs can be made to fail (:meth:`fail_fsyncs`) and
 writes can be cut short with ENOSPC (:meth:`fail_next_write`) at a
-chosen byte offset.
+chosen byte offset.  A :meth:`~FaultyStorage.replace` carries the
+source's watermarks over to the published path.
 
 All randomness comes from the rng the caller passes in, so fault
 placement is a pure function of the schedule seed.
@@ -26,7 +27,7 @@ import os
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Tuple, Union
 
-from repro.service.storage import Storage
+from repro.service.storage import REAL_STORAGE, Storage
 
 __all__ = ["FaultyStorage"]
 
@@ -132,6 +133,16 @@ class FaultyStorage(Storage):
             os.fsync(fd)
         finally:
             os.close(fd)
+
+    def replace(self, src: Union[str, Path], dst: Union[str, Path]) -> None:
+        # The published path inherits the source's watermarks, so a
+        # crash tears it exactly as far as the source was unsynced.
+        REAL_STORAGE.replace(src, dst)
+        state = self._files.pop(str(src), None)
+        if state is None:
+            self._files.pop(str(dst), None)
+        else:
+            self._files[str(dst)] = state
 
     # -- fault injection --------------------------------------------------
     def fail_fsyncs(self, match: str, count: int = 1) -> None:

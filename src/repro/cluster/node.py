@@ -45,7 +45,6 @@ from repro.service.snapshot import (
     SnapshotManager,
     load_snapshot_bytes,
     snapshot_bytes,
-    snapshot_wal_seq,
     write_snapshot,
 )
 
@@ -137,14 +136,12 @@ def recover_node(
     handed to the node's WAL — the chaos harness injects its
     fault-tracking storage here.
     """
-    snapshot_seq = 0
-    filt = None
     if snapshot_path is not None and Path(snapshot_path).exists():
-        data = Path(snapshot_path).read_bytes()
-        filt = load_snapshot_bytes(data, source=str(snapshot_path))
-        snapshot_seq = snapshot_wal_seq(data) or 0
-    if filt is None:
-        filt = build()
+        filt, snapshot_seq = load_snapshot_bytes(
+            Path(snapshot_path).read_bytes(), source=str(snapshot_path)
+        )
+    else:
+        filt, snapshot_seq = build(), 0
     wal = WriteAheadLog(
         wal_dir, segment_bytes=segment_bytes, fsync=fsync, storage=storage
     )

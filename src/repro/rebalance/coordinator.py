@@ -56,6 +56,7 @@ from repro.service.protocol import (
     encode_migrate_commit_body,
     encode_ring_epoch_set,
 )
+from repro.service.storage import REAL_STORAGE
 
 __all__ = ["Coordinator", "SESSION_STATES"]
 
@@ -63,12 +64,6 @@ logger = get_logger("rebalance.coordinator")
 
 #: The per-session (and hence per-vnode) state machine, in order.
 SESSION_STATES = ("PENDING", "STREAMING", "CATCHUP", "FENCED", "OWNED")
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    from repro.service.snapshot import _write_bytes_atomic
-
-    _write_bytes_atomic(text.encode("utf-8"), path)
 
 
 class Coordinator:
@@ -204,8 +199,9 @@ class Coordinator:
         return json.loads(self.plan_path.read_text("utf-8"))
 
     def _save_plan(self, plan: dict) -> None:
-        _atomic_write_text(
-            self.plan_path, json.dumps(plan, indent=2, sort_keys=True)
+        REAL_STORAGE.write_atomic(
+            self.plan_path,
+            json.dumps(plan, indent=2, sort_keys=True).encode("utf-8"),
         )
 
     def _make_plan(

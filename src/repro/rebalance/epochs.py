@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.cluster.router import HashRing, NodeAddress, ShardGroup, hash_key
 from repro.errors import ClusterError, ConfigurationError
+from repro.service.storage import REAL_STORAGE
 
 __all__ = [
     "RingEpoch",
@@ -239,8 +240,6 @@ class EpochLog:
 
     def append(self, epoch: RingEpoch) -> Path:
         """Durably record ``epoch``; idempotent for identical bytes."""
-        from repro.service.snapshot import _write_bytes_atomic
-
         path = self._path(epoch.version)
         blob = epoch.to_bytes()
         if path.exists():
@@ -250,7 +249,7 @@ class EpochLog:
                 f"epoch v{epoch.version} already recorded with different "
                 f"topology — refusing to overwrite history"
             )
-        _write_bytes_atomic(blob, path)
+        REAL_STORAGE.write_atomic(path, blob)
         return path
 
 

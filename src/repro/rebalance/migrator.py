@@ -155,7 +155,7 @@ class RebalanceState:
         The hosted filter (mutated by applies and excision).
     wal:
         The node's :class:`~repro.cluster.wal.WriteAheadLog`; epoch and
-        fence files persist alongside it.
+        fence files persist alongside it, through its storage.
     group:
         This node's shard-group name, when known at startup.  A node
         started without one learns it from the first epoch install —
@@ -228,11 +228,6 @@ class RebalanceState:
                 fence_seq=int(doc["fence_seq"]),
             )
 
-    def _persist_epoch(self, group: str, blob: bytes) -> None:
-        from repro.service.snapshot import _write_bytes_atomic
-
-        _write_bytes_atomic(encode_ring_epoch_set(group, blob), self._epoch_path)
-
     # -- the gate --------------------------------------------------------
     def gate(self, op: Opcode, keys) -> None:
         """Screen one client request (on the batcher worker thread).
@@ -278,7 +273,9 @@ class RebalanceState:
         epoch = RingEpoch.from_bytes(blob)
         if self.epoch is not None and epoch.version < self.epoch.version:
             return self.describe()  # stale delivery from a slow coordinator
-        self._persist_epoch(group, blob)
+        self.wal.storage.write_atomic(
+            self._epoch_path, encode_ring_epoch_set(group, blob)
+        )
         self.epoch = epoch
         self.group = group
         self.counters["epoch_installs"] += 1
@@ -373,9 +370,8 @@ class RebalanceState:
         session = self._session_out(plan)
         session.fenced = True
         session.fence_seq = self.wal.last_seq
-        from repro.service.snapshot import _write_bytes_atomic
-
-        _write_bytes_atomic(
+        self.wal.storage.write_atomic(
+            self._fence_path(plan),
             json.dumps(
                 {
                     "plan": plan,
@@ -384,7 +380,6 @@ class RebalanceState:
                 },
                 sort_keys=True,
             ).encode("utf-8"),
-            self._fence_path(plan),
         )
         self.counters["fences"] += 1
         logger.info(

@@ -73,11 +73,7 @@ from repro.service.protocol import (
     parse_request,
     read_frame,
 )
-from repro.service.snapshot import (
-    SnapshotManager,
-    load_snapshot_bytes,
-    with_snapshot_seq,
-)
+from repro.service.snapshot import SnapshotManager
 from repro.service.transport import REAL_TRANSPORT, Transport
 
 __all__ = ["FilterServer", "build_admission", "serve"]
@@ -735,13 +731,13 @@ class FilterServer:
         return self.wal.last_seq
 
     def _install_replication_snapshot(self, seq: int, blob: bytes) -> None:
-        filt = load_snapshot_bytes(blob)  # CRC-verified before any effect
-        # Persist first: reset_to discards every local WAL segment, so
-        # from that point the on-disk snapshot is the only durable copy
-        # of the transferred state.  The trailer records seq, so a crash
-        # right after the rename recovers to exactly this state and
-        # resumes streaming at seq + 1 (see recover_node).
-        self.snapshots.install_bytes(with_snapshot_seq(blob, seq))
+        # Verified, then persisted, before any effect: reset_to discards
+        # every local WAL segment, so from that point the on-disk
+        # snapshot is the only durable copy of the transferred state.
+        # The trailer records seq, so a crash right after the rename
+        # recovers to exactly this state and resumes streaming at
+        # seq + 1 (see recover_node).
+        filt = self.snapshots.install_bytes(blob, seq)
         self.filter = filt
         self.executor.set_filter(filt)
         self.snapshots.filter = filt

@@ -1,34 +1,31 @@
 """Snapshot/restore for the serving daemon.
 
 Snapshots reuse :mod:`repro.serialize` — the same bytes a MapReduce
-broadcast would ship — written with the classic crash-safe dance: dump
-to a ``.tmp`` sibling, ``fsync``, then :func:`os.replace` so the
-snapshot path always holds either the previous complete snapshot or the
-new complete snapshot, never a torn write.
+broadcast would ship — published through
+:meth:`~repro.service.storage.Storage.write_atomic`: dump to a ``.tmp``
+sibling, ``fsync``, then rename over the target, so the snapshot path
+always holds either the previous complete snapshot or the new complete
+snapshot, never a torn write.
 
 :func:`load_snapshot` sniffs the magic, so a daemon restarts equally
 well from a single-filter dump (``MPCB``) or a sharded-bank dump
 (``MPBK``).
 
-Integrity: every snapshot carries an 8-byte trailer — ``MPCK`` + the
-CRC32 of everything before it — so a corrupted dump fails loudly at
-restore time instead of restoring silently-wrong counters.  A blob
-without a trailer (for instance one cut short by a torn copy, which
-takes the trailer with it) is rejected, never loaded unchecked.
-
-Cluster nodes additionally need each snapshot to record *which* WAL
-sequence it covers, and that pairing must be crash-atomic — a snapshot
-observed with the wrong sequence replays the wrong WAL suffix (double
-counting or lost mutations).  So the sequence lives inside the snapshot
-file itself, in a 16-byte ``MPCS`` trailer (``u64 wal_seq | 'MPCS' |
-u32 crc``): one :func:`os.replace` publishes blob and sequence
-together, with no ordering window a crash can split.
+Integrity and sequence: every snapshot ends in one 16-byte trailer,
+``u64 wal_seq | 'MPCS' | u32 crc``, the CRC32 of everything before the
+crc field.  A corrupted dump fails loudly at restore time instead of
+restoring silently-wrong counters, and a blob without a trailer (for
+instance one cut short by a torn copy, which takes the trailer with
+it) is rejected, never loaded unchecked.  ``wal_seq`` is the WAL
+sequence a cluster node's snapshot covers (0 for a standalone
+``repro serve`` dump).  The pairing is crash-atomic — a snapshot
+observed with the wrong sequence replays the wrong WAL suffix — because
+one rename publishes blob and sequence together.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import struct
 import time
 import zlib
@@ -45,62 +42,46 @@ __all__ = [
     "load_snapshot",
     "load_snapshot_bytes",
     "snapshot_bytes",
-    "snapshot_wal_seq",
-    "with_snapshot_seq",
 ]
 
-#: Trailer magic: snapshot blob | b"MPCK" | u32 crc32(blob).
-_CRC_MAGIC = b"MPCK"
-_CRC_TRAILER = struct.Struct("<4sI")
-#: Seq-carrying trailer: blob | u64 wal_seq | b"MPCS" | u32 crc32 of
-#: everything before the crc field (so the sequence is covered too).
+#: Trailer: blob | u64 wal_seq | b"MPCS" | u32 crc32 of everything
+#: before the crc field (so the sequence is covered too).
 _SEQ_MAGIC = b"MPCS"
 _SEQ_TRAILER = struct.Struct("<Q4sI")
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
 
-def _split_trailer(
-    data: bytes, *, source: str = "snapshot"
-) -> tuple[bytes, int | None]:
+def _split_trailer(data: bytes, *, source: str = "snapshot") -> tuple[bytes, int]:
     """Strip and verify the integrity trailer: ``(payload, wal_seq)``.
 
-    ``wal_seq`` is None for plain-CRC (``MPCK``) dumps.  A CRC mismatch
-    in either flavour, or no trailer at all, raises.
+    A CRC mismatch, or no trailer at all, raises.
     """
-    if len(data) >= _CRC_TRAILER.size:
-        magic, crc = _CRC_TRAILER.unpack_from(data, len(data) - _CRC_TRAILER.size)
-        if magic == _CRC_MAGIC:
-            payload = data[: -_CRC_TRAILER.size]
-            if zlib.crc32(payload) != crc:
+    if len(data) >= _SEQ_TRAILER.size:
+        wal_seq, magic, crc = _SEQ_TRAILER.unpack_from(
+            data, len(data) - _SEQ_TRAILER.size
+        )
+        if magic == _SEQ_MAGIC:
+            if zlib.crc32(memoryview(data)[: -_U32.size]) != crc:
                 raise ConfigurationError(
                     f"{source}: snapshot CRC mismatch (corrupted or torn dump)"
                 )
-            return payload, None
-        if magic == _SEQ_MAGIC and len(data) >= _SEQ_TRAILER.size:
-            if zlib.crc32(data[:-_U32.size]) != crc:
-                raise ConfigurationError(
-                    f"{source}: snapshot CRC mismatch (corrupted or torn dump)"
-                )
-            (wal_seq,) = _U64.unpack_from(data, len(data) - _SEQ_TRAILER.size)
             return data[: -_SEQ_TRAILER.size], wal_seq
     raise ConfigurationError(
         f"{source}: snapshot has no integrity trailer (truncated or not a snapshot)"
     )
 
 
-def _append_trailer(blob: bytes, wal_seq: int | None) -> bytes:
-    if wal_seq is None:
-        return blob + _CRC_TRAILER.pack(_CRC_MAGIC, zlib.crc32(blob))
+def _append_trailer(blob: bytes, wal_seq: int) -> bytes:
     head = blob + _U64.pack(wal_seq) + _SEQ_MAGIC
     return head + _U32.pack(zlib.crc32(head))
 
 
-def snapshot_bytes(filt, *, wal_seq: int | None = None) -> bytes:
-    """Serialise a filter (or bank) with the CRC32 integrity trailer.
+def snapshot_bytes(filt, *, wal_seq: int = 0) -> bytes:
+    """Serialise a filter (or bank) with the integrity trailer.
 
-    With ``wal_seq`` the trailer also records the WAL sequence the dump
-    covers (cluster nodes), crash-atomically with the state itself.
+    The trailer records ``wal_seq``, the WAL sequence the dump covers
+    (cluster nodes), crash-atomically with the state itself.
     """
     if hasattr(filt, "shards"):
         blob = dump_bank(filt)
@@ -109,54 +90,11 @@ def snapshot_bytes(filt, *, wal_seq: int | None = None) -> bytes:
     return _append_trailer(blob, wal_seq)
 
 
-def snapshot_wal_seq(data: bytes) -> int | None:
-    """WAL sequence embedded in a snapshot blob (None when absent)."""
-    return _split_trailer(data)[1]
-
-
-def with_snapshot_seq(data: bytes, wal_seq: int, *, source: str = "snapshot") -> bytes:
-    """Re-trailer a snapshot blob so it records ``wal_seq``.
-
-    Verifies the incoming trailer before rewriting it — used
-    when a replica persists a primary's state transfer, where the
-    covered sequence arrives beside the blob rather than inside it.
-    """
-    payload, _ = _split_trailer(data, source=source)
-    return _append_trailer(payload, wal_seq)
-
-
-def _write_bytes_atomic(
-    blob: bytes, path: Path, *, storage: Storage | None = None
-) -> dict:
-    """The crash-safe publish dance shared by every snapshot writer."""
-    storage = storage if storage is not None else REAL_STORAGE
-    started = time.perf_counter()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    handle = storage.open(tmp, "wb")
-    try:
-        handle.write(blob)
-        handle.flush()
-        storage.fsync(handle)
-    finally:
-        handle.close()
-    os.replace(tmp, path)
-    # The rename itself lives in the directory's metadata: without a
-    # directory fsync a power loss can revert the publish even though
-    # the file's bytes are stable (same discipline as the WAL).
-    storage.fsync_path(path.parent)
-    return {
-        "path": str(path),
-        "bytes": len(blob),
-        "elapsed_s": time.perf_counter() - started,
-    }
-
-
 def write_snapshot(
     filt,
     path: str | Path,
     *,
-    wal_seq: int | None = None,
+    wal_seq: int = 0,
     storage: Storage | None = None,
 ) -> dict:
     """Atomically write a snapshot; returns a small report dict.
@@ -164,28 +102,33 @@ def write_snapshot(
     The report's ``crc32`` is the checksum the trailer records.
     """
     blob = snapshot_bytes(filt, wal_seq=wal_seq)
-    report = _write_bytes_atomic(blob, Path(path), storage=storage)
+    storage = storage if storage is not None else REAL_STORAGE
+    report = storage.write_atomic(path, blob)
     (report["crc32"],) = _U32.unpack_from(blob, len(blob) - _U32.size)
     return report
 
 
-def load_snapshot_bytes(data: bytes, *, source: str = "snapshot"):
-    """Load a snapshot blob (filter or bank), verifying its CRC trailer.
+def _load_payload(payload: bytes, source: str):
+    if payload[:4] == b"MPBK":
+        return load_bank(payload)
+    if payload[:4] == b"MPCB":
+        return load_filter(payload)
+    raise ConfigurationError(f"{source}: not a repro snapshot (bad magic)")
 
-    A blob without an ``MPCK``/``MPCS`` trailer raises
+
+def load_snapshot_bytes(data: bytes, *, source: str = "snapshot") -> tuple:
+    """Load a snapshot blob (filter or bank): ``(filter, wal_seq)``.
+
+    The trailer is verified once; a blob without one raises
     :class:`~repro.errors.ConfigurationError` naming ``source``.
     """
-    data, _ = _split_trailer(data, source=source)
-    if data[:4] == b"MPBK":
-        return load_bank(data)
-    if data[:4] == b"MPCB":
-        return load_filter(data)
-    raise ConfigurationError(f"{source}: not a repro snapshot (bad magic)")
+    payload, wal_seq = _split_trailer(data, source=source)
+    return _load_payload(payload, source), wal_seq
 
 
 def load_snapshot(path: str | Path):
     """Load a snapshot written by :func:`write_snapshot` (filter or bank)."""
-    return load_snapshot_bytes(Path(path).read_bytes(), source=str(path))
+    return load_snapshot_bytes(Path(path).read_bytes(), source=str(path))[0]
 
 
 class SnapshotManager:
@@ -235,18 +178,25 @@ class SnapshotManager:
         self.last_saved_monotonic = time.monotonic()
         return report
 
-    def install_bytes(self, blob: bytes) -> dict:
-        """Atomically persist pre-serialised snapshot bytes to :attr:`path`.
+    def install_bytes(self, blob: bytes, wal_seq: int):
+        """Verify, persist and load a transferred snapshot; returns the filter.
 
         The durability half of a replication state transfer: the replica
         must hold the primary's snapshot on disk *before* it discards the
         local WAL history the snapshot supersedes, or a crash in between
-        silently loses every mutation the transfer carried.
+        silently loses every mutation the transfer carried.  The blob's
+        trailer is verified once, before any effect; the covered
+        sequence arrives beside the blob, so the payload is re-trailered
+        with ``wal_seq`` on its way to :attr:`path`.
         """
-        report = _write_bytes_atomic(blob, self.path, storage=self.storage)
-        self.last_report = report
+        source = "replication snapshot"
+        payload, _ = _split_trailer(blob, source=source)
+        filt = _load_payload(payload, source)
+        self.last_report = self.storage.write_atomic(
+            self.path, _append_trailer(payload, wal_seq)
+        )
         self.last_saved_monotonic = time.monotonic()
-        return report
+        return filt
 
     async def save(self, runner=None) -> dict:
         """Dump via ``runner`` (an async exclusive-execution hook)."""

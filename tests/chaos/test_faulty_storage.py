@@ -72,6 +72,35 @@ class TestCrash:
         assert path.read_bytes() == b"Z" * 64
 
 
+class TestReplace:
+    def test_replace_moves_watermarks_to_the_published_path(self, tmp_path):
+        storage = FaultyStorage()
+        tmp, dst = tmp_path / "epoch.bin.tmp", tmp_path / "epoch.bin"
+        with storage.open(tmp, "wb") as handle:
+            handle.write(b"S" * 100)
+            storage.fsync(handle)
+            handle.write(b"U" * 60)
+        storage.replace(tmp, dst)
+        assert not tmp.exists()
+        assert storage.unsynced_bytes("epoch.bin.tmp") == 0
+        assert storage.unsynced_bytes(str(dst)) == 60
+        storage.crash(random.Random(7))
+        # The unsynced tail of the published file is what a crash tears.
+        assert 100 <= dst.stat().st_size <= 160
+        assert dst.read_bytes()[:100] == b"S" * 100
+
+    def test_crash_leaves_a_published_synced_file_untouched(self, tmp_path):
+        storage = FaultyStorage()
+        path = tmp_path / "snap.bin"
+        storage.write_atomic(path, b"old" * 10)
+        report = storage.write_atomic(path, b"Z" * 64)
+        assert report["bytes"] == 64
+        assert storage.unsynced_bytes() == 0
+        assert storage.crash(random.Random(3)) == []
+        assert path.read_bytes() == b"Z" * 64
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.bin"]
+
+
 class TestInjectedErrors:
     def test_fail_fsyncs_matches_path_and_decrements(self, tmp_path):
         storage = FaultyStorage()

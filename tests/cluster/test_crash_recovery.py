@@ -25,7 +25,8 @@ from repro.filters.factory import FilterSpec, build_filter
 from repro.serialize import dump_filter
 from repro.service.client import FilterClient, wire_keys
 from repro.service.protocol import Opcode
-from repro.service.snapshot import snapshot_wal_seq, write_snapshot
+import repro.service.snapshot as snapshot_module
+from repro.service.snapshot import load_snapshot_bytes, write_snapshot
 
 SPEC_ARGS = ["--variant", "MPCBF-1", "--memory-kb", "64", "--k", "3", "--seed", "4"]
 
@@ -111,7 +112,7 @@ class TestCrashRecovery:
         answers = recovery.filter.query_many(sorted(oracle_set))
         assert all(answers)  # no acknowledged insert went missing
 
-    def test_snapshot_embeds_wal_seq_atomically(self, tmp_path):
+    def test_snapshot_embeds_wal_seq_atomically(self, tmp_path, monkeypatch):
         # The covered sequence travels inside the snapshot file itself
         # (one atomic rename), not in a sidecar a crash could split off.
         filt = make_filter()
@@ -125,11 +126,20 @@ class TestCrashRecovery:
         wal.close()
         assert report["wal_seq"] == 5
         assert not (tmp_path / "n.snap.meta").exists()
-        assert snapshot_wal_seq((tmp_path / "n.snap").read_bytes()) == 5
+        assert load_snapshot_bytes((tmp_path / "n.snap").read_bytes())[1] == 5
+        # Recovery verifies the trailer once, getting payload and seq
+        # from the same pass over the blob.
+        splits = []
+        split = snapshot_module._split_trailer
+        monkeypatch.setattr(
+            snapshot_module, "_split_trailer",
+            lambda *a, **kw: splits.append(1) or split(*a, **kw),
+        )
         recovery = recover_node(
             make_filter, wal_dir=tmp_path / "wal",
             snapshot_path=tmp_path / "n.snap",
         )
+        assert len(splits) == 1
         assert recovery.snapshot_seq == 5
         assert recovery.replayed_records == 0
         assert all(recovery.filter.query_many(keys))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chaos import FaultyStorage
 from repro.cluster.router import NodeAddress, ShardGroup
 from repro.cluster.wal import WriteAheadLog
 from repro.errors import ClusterError, MovedError, WrongEpochError
@@ -266,3 +267,33 @@ class TestSourcePreconditions:
         state.install_epoch("a", e3.to_bytes())
         state.install_epoch("a", e1.to_bytes())
         assert state.epoch.version == 3
+
+
+class TestDurableFilesUseNodeStorage:
+    """Epoch and fence files publish through the WAL's storage seam."""
+
+    def make(self, tmp_path):
+        storage = FaultyStorage()
+        wal = WriteAheadLog(tmp_path / "wal", fsync="never", storage=storage)
+        state = RebalanceState(make_filter(), wal=wal, group="a")
+        epoch = RingEpoch(version=1, vnodes=16, groups=(make_group("a", 7801),))
+        return storage, state, epoch
+
+    def test_failed_fence_fsync_fails_the_fence(self, tmp_path):
+        storage, state, epoch = self.make(tmp_path)
+        state.install_epoch("a", epoch.to_bytes())
+        whole_ring = KeyRangeSet.from_json([{"start": 0, "end": 0}])
+        state.begin_source("p", whole_ring, 1)
+        storage.fail_fsyncs("fence-")
+        with pytest.raises(OSError):
+            state.fence("p")
+        assert state.counters["fences"] == 0
+
+    def test_failed_epoch_fsync_fails_the_install(self, tmp_path):
+        storage, state, epoch = self.make(tmp_path)
+        storage.fail_fsyncs("ring-epoch")
+        with pytest.raises(OSError):
+            state.install_epoch("a", epoch.to_bytes())
+        assert state.epoch is None
+        state.install_epoch("a", epoch.to_bytes())  # one-shot fault spent
+        assert state.epoch.version == 1

@@ -1,4 +1,4 @@
-"""Snapshot CRC trailer: corruption and truncation detection."""
+"""Snapshot integrity trailer: corruption and truncation detection."""
 
 from __future__ import annotations
 
@@ -14,9 +14,8 @@ from repro.serialize import dump_filter
 from repro.service.snapshot import (
     load_snapshot,
     load_snapshot_bytes,
+    SnapshotManager,
     snapshot_bytes,
-    snapshot_wal_seq,
-    with_snapshot_seq,
     write_snapshot,
 )
 
@@ -51,9 +50,9 @@ class TestCrcTrailer:
         path = tmp_path / "f.snap"
         report = write_snapshot(filt, path)
         blob = path.read_bytes()
-        assert blob[-8:-4] == b"MPCK"
+        assert blob[-8:-4] == b"MPCS"
         (crc,) = struct.unpack("<I", blob[-4:])
-        assert crc == zlib.crc32(blob[:-8]) == report["crc32"]
+        assert crc == zlib.crc32(blob[:-4]) == report["crc32"]
         restored = load_snapshot(path)
         assert all(restored.query_many([b"crc-%d" % i for i in range(500)]))
 
@@ -73,7 +72,8 @@ class TestCrcTrailer:
         with pytest.raises(ConfigurationError, match="bare.snap.*no integrity trailer"):
             load_snapshot(path)
 
-    @pytest.mark.parametrize("wal_seq", [None, 7], ids=["MPCK", "MPCS"])
+    # seq 0 is a standalone dump's trailer, 7 a cluster node's.
+    @pytest.mark.parametrize("wal_seq", [0, 7], ids=["seq0", "MPCS"])
     @pytest.mark.parametrize("bank", [False, True], ids=["filter", "bank"])
     def test_truncated_snapshot_is_rejected(self, wal_seq, bank):
         # Cutting bytes off the end takes the trailer (or part of it)
@@ -84,10 +84,6 @@ class TestCrcTrailer:
             torn = blob[:-cut]
             with pytest.raises(ConfigurationError):
                 load_snapshot_bytes(torn)
-            with pytest.raises(ConfigurationError):
-                snapshot_wal_seq(torn)
-            with pytest.raises(ConfigurationError):
-                with_snapshot_seq(torn, 3)
 
     def test_bad_magic_raises_with_source(self, tmp_path):
         with pytest.raises(ConfigurationError, match="somewhere"):
@@ -101,38 +97,36 @@ class TestCrcTrailer:
 
 
 class TestSeqTrailer:
-    """The MPCS trailer: WAL sequence embedded crash-atomically."""
+    """The trailer's WAL sequence, embedded crash-atomically."""
 
     def test_seq_roundtrip(self):
         filt = make_filter()
         blob = snapshot_bytes(filt, wal_seq=123)
         assert blob[-8:-4] == b"MPCS"
-        assert snapshot_wal_seq(blob) == 123
-        restored = load_snapshot_bytes(blob)
+        restored, wal_seq = load_snapshot_bytes(blob)
+        assert wal_seq == 123
         assert all(restored.query_many([b"crc-%d" % i for i in range(500)]))
 
-    def test_plain_and_legacy_dumps_carry_no_seq(self):
+    def test_standalone_dump_records_seq_zero(self):
         filt = make_filter()
-        assert snapshot_wal_seq(snapshot_bytes(filt)) is None
-        # A trailer-less dump has no seq to report: it is rejected.
-        with pytest.raises(ConfigurationError, match="no integrity trailer"):
-            snapshot_wal_seq(dump_filter(filt))
+        blob = snapshot_bytes(filt)
+        assert blob[-8:-4] == b"MPCS"
+        assert load_snapshot_bytes(blob)[1] == 0
 
-    def test_with_snapshot_seq_rewrites_every_trailer_flavour(self):
+    def test_install_bytes_restamps_the_transfer_seq(self, tmp_path):
         filt = make_filter()
-        for blob in (
-            snapshot_bytes(filt),  # plain MPCK trailer
-            snapshot_bytes(filt, wal_seq=7),  # already seq-carrying
-        ):
-            stamped = with_snapshot_seq(blob, 42)
-            assert snapshot_wal_seq(stamped) == 42
-            restored = load_snapshot_bytes(stamped)
-            assert all(
-                restored.query_many([b"crc-%d" % i for i in range(500)])
-            )
-        # A trailer-less dump is not re-stamped into a checked snapshot.
-        with pytest.raises(ConfigurationError, match="no integrity trailer"):
-            with_snapshot_seq(dump_filter(filt), 42)
+        manager = SnapshotManager(None, tmp_path / "r.snap")
+        restored = manager.install_bytes(snapshot_bytes(filt, wal_seq=7), 42)
+        assert dump_filter(restored) == dump_filter(filt)
+        on_disk, wal_seq = load_snapshot_bytes(manager.path.read_bytes())
+        assert wal_seq == 42
+        assert dump_filter(on_disk) == dump_filter(filt)
+        assert manager.last_report["path"] == str(manager.path)
+        # A trailer-less or torn transfer is refused before any effect.
+        for bad in (dump_filter(filt), snapshot_bytes(filt)[:-1]):
+            with pytest.raises(ConfigurationError):
+                manager.install_bytes(bad, 43)
+        assert load_snapshot_bytes(manager.path.read_bytes())[1] == 42
 
     def test_seq_trailer_corruption_is_detected(self):
         blob = bytearray(snapshot_bytes(make_filter(), wal_seq=9))
@@ -147,5 +141,3 @@ class TestSeqTrailer:
         blob[-12] ^= 0xFF  # inside the u64 wal_seq field
         with pytest.raises(ConfigurationError, match="CRC mismatch"):
             load_snapshot_bytes(bytes(blob))
-        with pytest.raises(ConfigurationError, match="CRC mismatch"):
-            snapshot_wal_seq(bytes(blob))
