@@ -108,6 +108,9 @@ class FaultyStorage(Storage):
         state = self._files.get(key)
         if state is None:
             self._files[key] = _FileState(size)
+        elif "w" in mode:
+            # A truncating open discards the old bytes and their syncs.
+            self._note_truncated(key, 0)
         else:
             # Reopen: anything on disk now was either synced before or
             # survives only until the next crash cut.

@@ -14,22 +14,25 @@ heuristic (Eq. 11) and the first level is maximised to
 probability of that event is bounded by Eq. 6 / Eq. 10 and validated in
 the test suite.
 
-Two state backends share one observable behaviour:
+The filter owns the geometry, the hash family, the overflow policy and
+the statistics; the words live in one state engine, chosen once by the
+constructor's ``kernel`` and driven through one interface (one call
+per operation):
 
-* ``kernel="columnar"`` (default) keeps every word's hierarchy in the
-  flat arrays of :class:`~repro.kernels.columnar.ColumnarHCBF`, so
-  ``insert_many``/``delete_many``/``count_many`` run as batch NumPy
-  kernels (sort by word, apply in rounds) and scalar calls delegate to
-  one-key batches.
-* ``kernel="scalar"`` keeps a list of :class:`HCBFWord` objects — the
-  legible reference implementation and the equivalence oracle for the
-  differential suite in ``tests/kernels/``.
+* ``kernel="columnar"`` (default) —
+  :class:`~repro.kernels.columnar.ColumnarHCBF`, every word's hierarchy
+  as flat NumPy arrays.  ``insert_many``/``delete_many``/``count_many``
+  run as batch kernels (sort by word, apply in rounds); per-key calls
+  run the engine's per-key routines, the same ones the batch kernels
+  replay a triggering key through.
+* ``kernel="scalar"`` — :class:`~repro.kernels.scalar.ScalarHCBF`, a
+  list of :class:`HCBFWord` objects: the legible reference and the
+  equivalence oracle for the differential suites in ``tests/kernels/``.
 
-Bulk queries run fully vectorised against a packed ``uint64`` mirror of
-all first-level vectors, which both backends keep in sync (only
-first-level flips matter; hierarchy churn never moves level-1 bits).
-``to_scalar()``/``from_scalar()`` convert between backends exactly;
-serialisation produces identical bytes either way.
+Bulk queries on either engine run vectorised against a packed
+``uint64`` mirror of all first-level vectors.  ``to_scalar()``/
+``from_scalar()`` convert between engines exactly; serialisation
+produces identical bytes either way.
 """
 
 from __future__ import annotations
@@ -38,19 +41,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, WordOverflowError
+from repro.errors import ConfigurationError
 from repro.filters.base import CountingFilterBase
 from repro.filters.hcbf_word import HCBFWord, improved_first_level_size
 from repro.hashing.bit_budget import HashBitBudget
 from repro.hashing.encoders import KeyEncoder
 from repro.hashing.families import PartitionedHashFamily
-from repro.kernels.columnar import (
-    ColumnarHCBF,
-    WordsView,
-    counts_dtype,
-    counts_from_levels,
-    probe_mirror,
-)
+from repro.kernels.columnar import ColumnarHCBF
+from repro.kernels.scalar import ScalarHCBF
 from repro.memmodel.accounting import OpKind
 
 __all__ = ["MPCBF"]
@@ -86,9 +84,10 @@ class MPCBF(CountingFilterBase):
         around one in ``l``, so saturation is rare but not impossible
         on long experiment grids.
     kernel:
-        ``"columnar"`` (default) runs bulk updates through the NumPy
-        batch kernels; ``"scalar"`` keeps per-word ``HCBFWord`` objects
-        (the reference path).  Both are observably equivalent.
+        The state engine: ``"columnar"`` (default,
+        :class:`~repro.kernels.columnar.ColumnarHCBF`) or ``"scalar"``
+        (:class:`~repro.kernels.scalar.ScalarHCBF`, per-word
+        ``HCBFWord`` objects).  Both are observably equivalent.
     """
 
     def __init__(
@@ -156,29 +155,22 @@ class MPCBF(CountingFilterBase):
         self.family = PartitionedHashFamily(
             num_words, self.first_level_bits, k, g=g, seed=seed
         )
-        if kernel not in ("columnar", "scalar"):
+        engines = {"columnar": ColumnarHCBF, "scalar": ScalarHCBF}
+        if kernel not in engines:
             raise ConfigurationError(
                 f"kernel must be 'columnar' or 'scalar', got {kernel!r}"
             )
         self.kernel = kernel
-        self._limbs = -(-self.first_level_bits // 64)
         self._word_cols = self.family.offset_word_columns()
-        if kernel == "columnar":
-            #: Columnar state engine (None on the scalar backend).
-            self.columns: ColumnarHCBF | None = ColumnarHCBF(
-                num_words, word_bits, self.first_level_bits
-            )
-            self._words_list: list[HCBFWord] | None = None
-            self._mirror_arr: np.ndarray | None = None
-            self._saturated_map: dict[int, int] | None = None
-        else:
-            self.columns = None
-            self._words_list = [
-                HCBFWord(word_bits, self.first_level_bits, index=i)
-                for i in range(num_words)
-            ]
-            self._mirror_arr = np.zeros((num_words, self._limbs), dtype=np.uint64)
-            self._saturated_map = {}
+        #: The state engine holding every word.
+        self.state: ColumnarHCBF | ScalarHCBF = engines[kernel](
+            num_words, word_bits, self.first_level_bits
+        )
+        #: The columnar engine, which a sharded bank stacks into its
+        #: arena; None on the scalar kernel.
+        self.columns: ColumnarHCBF | None = (
+            self.state if kernel == "columnar" else None
+        )
         self._budget_query = HashBitBudget.partitioned(
             num_words, self.first_level_bits, k, g
         )
@@ -204,298 +196,63 @@ class MPCBF(CountingFilterBase):
     def words(self) -> Sequence[HCBFWord]:
         """Scalar word objects.
 
-        On the scalar backend this is the live list; on the columnar
-        backend it is a lazy sequence view that materialises a fresh
+        On the scalar kernel this is the live list; on the columnar
+        kernel it is a lazy sequence view that materialises a fresh
         read-only snapshot per indexed word (mutating one does not
         write back — use the filter API).
         """
-        if self.columns is not None:
-            return WordsView(self.columns)
-        return self._words_list
+        return self.state.words
 
     @property
     def _mirror(self) -> np.ndarray:
         """Packed first-level limbs, ``(l, limbs)`` uint64 (live array)."""
-        if self.columns is not None:
-            return self.columns.mirror
-        return self._mirror_arr
+        return self.state.mirror
 
     @property
     def _saturated(self) -> dict[int, int]:
         """Membership-only overlays for saturated words (index → bitmap).
 
-        Live (mutable) dict on the scalar backend; a fresh snapshot
-        derived from the saturation arrays on the columnar backend.
+        Live (mutable) dict on the scalar kernel; a fresh snapshot
+        derived from the saturation arrays on the columnar kernel.
         """
-        if self.columns is not None:
-            return self.columns.saturated_dict()
-        return self._saturated_map
+        return self.state.saturated_dict()
 
     @property
     def stored_hash_bits(self) -> int:
         """Total hierarchy bits in use across all words."""
-        if self.columns is not None:
-            return self.columns.stored_hash_bits
-        return sum(word.hierarchy_bits_used for word in self._words_list)
-
-    def _mirror_set(self, word_index: int, bit: int) -> None:
-        self._mirror[word_index, bit >> 6] |= np.uint64(1 << (bit & 63))
-
-    def _mirror_clear(self, word_index: int, bit: int) -> None:
-        self._mirror[word_index, bit >> 6] &= np.uint64(
-            ~(1 << (bit & 63)) & 0xFFFFFFFFFFFFFFFF
-        )
-
-    def _saturate_word(self, word_index: int) -> None:
-        """Freeze a word's hierarchy; further inserts go to the overlay."""
-        self._saturated_map.setdefault(word_index, 0)
-
-    def _overlay_insert(self, word_index: int, offsets: list[int]) -> None:
-        overlay = self._saturated_map[word_index]
-        for pos in offsets:
-            overlay |= 1 << pos
-            self._mirror_set(word_index, pos)
-            self.overflow_events += 1
-        self._saturated_map[word_index] = overlay
+        return self.state.stored_hash_bits
 
     # -- scalar ---------------------------------------------------------
-    def _columnar_apply_insert(self, word_indices, groups) -> float:
-        """Single-key insert against the columnar arrays.
-
-        Line-for-line mirror of the object-backed ``_apply_insert`` —
-        same dry-run demand check, same saturation/overlay behaviour,
-        same ``math.log2`` traversal-bit accounting — but ~10× cheaper
-        than routing a one-key batch through the bulk kernel (argsort,
-        round scheduling, outcome folding all cost more than the key).
-        """
-        cols = self.columns
-        demand: dict[int, int] = {}
-        for word_index, offsets in zip(word_indices, groups):
-            demand[word_index] = demand.get(word_index, 0) + len(offsets)
-        for word_index, need in demand.items():
-            if cols.sat_mask[word_index]:
-                continue
-            if cols.capacity - int(cols.used[word_index]) < need:
-                if self.word_overflow == "raise":
-                    raise WordOverflowError(word_index, cols.capacity)
-                cols.sat_mask[word_index] = True
-        extra_bits = 0.0
-        for word_index, offsets in zip(word_indices, groups):
-            if cols.sat_mask[word_index]:
-                for pos in offsets:
-                    cols._overlay_set(word_index, pos)
-                    self.overflow_events += 1
-            else:
-                for pos in offsets:
-                    extra_bits += cols.insert_one(word_index, pos)
-        return extra_bits
+    def _groups(self, encoded_key: int) -> list[tuple[int, list[int]]]:
+        """One key's ``(word, offsets)`` groups, the per-key engine input."""
+        family = self.family
+        return list(
+            zip(family.word_indices(encoded_key), family.grouped_offsets(encoded_key))
+        )
 
     def insert_encoded(self, encoded_key: int) -> None:
-        # Two-phase inside _apply_insert: dry-run capacity check first,
-        # so a failed insert leaves every word untouched.
-        word_indices = self.family.word_indices(encoded_key)
-        groups = self.family.grouped_offsets(encoded_key)
-        if self.columns is not None:
-            extra_bits = self._columnar_apply_insert(word_indices, groups)
-        else:
-            extra_bits = self._apply_insert(word_indices, groups)
-        self.stats.record(
-            OpKind.INSERT,
-            word_accesses=float(self.g),
-            hash_bits=self._budget_query.total_bits + extra_bits,
-            hash_calls=self._budget_query.hash_calls,
+        events, extra_bits = self.state.insert_key(
+            self._groups(encoded_key), self.word_overflow
         )
-
-    def _columnar_delete_encoded(
-        self, word_indices, groups
-    ) -> None:
-        """Single-key delete against the columnar arrays (see insert)."""
-        cols = self.columns
-        demand: dict[tuple[int, int], int] = {}
-        for word_index, offsets in zip(word_indices, groups):
-            if cols.sat_mask[word_index]:
-                continue
-            for pos in offsets:
-                demand[(word_index, pos)] = demand.get((word_index, pos), 0) + 1
-        for (word_index, pos), need in demand.items():
-            if int(cols.counts[word_index, pos]) < need:
-                from repro.errors import CounterUnderflowError
-
-                raise CounterUnderflowError(pos)
-        extra_bits = 0.0
-        for word_index, offsets in zip(word_indices, groups):
-            if cols.sat_mask[word_index]:
-                self.skipped_deletes += len(offsets)
-                continue
-            for pos in offsets:
-                extra_bits += cols.delete_one(word_index, pos)
-        self.stats.record(
-            OpKind.DELETE,
-            word_accesses=float(self.g),
-            hash_bits=self._budget_query.total_bits + extra_bits,
-            hash_calls=self._budget_query.hash_calls,
-        )
+        self.overflow_events += events
+        self.record_bulk_update(OpKind.INSERT, 1, extra_bits)
 
     def delete_encoded(self, encoded_key: int) -> None:
-        word_indices = self.family.word_indices(encoded_key)
-        groups = self.family.grouped_offsets(encoded_key)
-        if self.columns is not None:
-            self._columnar_delete_encoded(word_indices, groups)
-            return
-        # Validate all counters first so a bad delete leaves no trace.
-        # Demand aggregates across *all* groups: with g > 1 the word
-        # hashes can collide, landing two groups' offsets in one word.
-        demand: dict[tuple[int, int], int] = {}
-        for word_index, offsets in zip(word_indices, groups):
-            if word_index in self._saturated_map:
-                continue
-            for pos in offsets:
-                demand[(word_index, pos)] = demand.get((word_index, pos), 0) + 1
-        for (word_index, pos), need in demand.items():
-            if self._words_list[word_index].count(pos) < need:
-                from repro.errors import CounterUnderflowError
-
-                raise CounterUnderflowError(pos)
-        extra_bits = 0.0
-        for word_index, offsets in zip(word_indices, groups):
-            if word_index in self._saturated_map:
-                # A frozen word cannot safely decrement: skip, keep the
-                # bits set (no false negatives), and record the skip.
-                self.skipped_deletes += len(offsets)
-                continue
-            word = self._words_list[word_index]
-            for pos in offsets:
-                remaining, bits = word.delete_bit(pos)
-                extra_bits += bits
-                if remaining == 0:
-                    self._mirror_clear(word_index, pos)
-        self.stats.record(
-            OpKind.DELETE,
-            word_accesses=float(self.g),
-            hash_bits=self._budget_query.total_bits + extra_bits,
-            hash_calls=self._budget_query.hash_calls,
-        )
+        skipped, extra_bits = self.state.delete_key(self._groups(encoded_key))
+        self.skipped_deletes += skipped
+        self.record_bulk_update(OpKind.DELETE, 1, extra_bits)
 
     def query_encoded(self, encoded_key: int) -> bool:
-        word_indices = self.family.word_indices(encoded_key)
-        groups = self.family.grouped_offsets(encoded_key)
-        accesses = 0
-        result = True
-        if self.columns is not None:
-            # The packed mirror holds exactly the first-level membership
-            # bits (saturation overlays already folded in), so one limb
-            # read per probe replaces the word-object walk.
-            mirror = self.columns.mirror
-            for word_index, offsets in zip(word_indices, groups):
-                accesses += 1
-                row = mirror[word_index]
-                if any(
-                    not (int(row[pos >> 6]) >> (pos & 63)) & 1
-                    for pos in offsets
-                ):
-                    result = False
-                    break
-        else:
-            for word_index, offsets in zip(word_indices, groups):
-                accesses += 1
-                word = self._words_list[word_index]
-                overlay = self._saturated_map.get(word_index, 0)
-                if any(
-                    not (word.query_bit(pos) or (overlay >> pos) & 1)
-                    for pos in offsets
-                ):
-                    result = False
-                    break
-        self.stats.record(
-            OpKind.QUERY,
-            word_accesses=float(accesses),
-            hash_bits=self._budget_query.total_bits / self.g * accesses,
-            hash_calls=self._budget_query.hash_calls,
-        )
+        result, accesses = self.state.query_key(self._groups(encoded_key))
+        self.record_bulk_query(1, float(accesses))
         return result
 
     def count_encoded(self, encoded_key: int) -> int:
-        word_indices = self.family.word_indices(encoded_key)
-        groups = self.family.grouped_offsets(encoded_key)
-        best = None
-        if self.columns is not None:
-            counts = self.columns.counts
-            overlay_arr = self.columns.overlay
-            for word_index, offsets in zip(word_indices, groups):
-                for pos in offsets:
-                    value = int(counts[word_index, pos])
-                    if (
-                        value == 0
-                        and (int(overlay_arr[word_index, pos >> 6]) >> (pos & 63)) & 1
-                    ):
-                        value = 1  # overlay knows membership, not multiplicity
-                    best = value if best is None else min(best, value)
-            return int(best or 0)
-        for word_index, offsets in zip(word_indices, groups):
-            word = self._words_list[word_index]
-            overlay = self._saturated_map.get(word_index, 0)
-            for pos in offsets:
-                value = word.count(pos)
-                if value == 0 and (overlay >> pos) & 1:
-                    value = 1  # overlay knows membership, not multiplicity
-                best = value if best is None else min(best, value)
-        return int(best or 0)
+        return self.state.count_key(self._groups(encoded_key))
 
     # -- bulk -----------------------------------------------------------
-    def _grouped_rows(self, encoded: np.ndarray):
-        """One vectorised hash pass for a whole batch of updates.
-
-        Yields ``(word_indices_row, grouped_offsets_row)`` per key —
-        the hierarchy mutations stay scalar (they are inherently
-        sequential per word), but the k+g−1 mixes per key run in NumPy,
-        which dominates the pure-Python cost at batch sizes ≥ ~1000.
-        ``tolist()`` converts each matrix to Python ints in one C pass;
-        per-element ``int()`` casts used to dominate the batch cost
-        before any hierarchy work happened.
-        """
-        word_idx, offsets = self.family.locate_array(encoded)
-        k_per_word = self.family.k_per_word
-        word_rows = word_idx.tolist()
-        offset_rows = offsets.tolist()
-        for row in range(len(encoded)):
-            flat = offset_rows[row]
-            groups = []
-            start = 0
-            for count in k_per_word:
-                groups.append(flat[start : start + count])
-                start += count
-            yield word_rows[row], groups
-
-    def _apply_insert(self, word_indices, groups) -> float:
-        """Scalar insert body shared by insert_encoded and insert_many."""
-        extra_bits = 0.0
-        demand: dict[int, int] = {}
-        for word_index, offsets in zip(word_indices, groups):
-            demand[word_index] = demand.get(word_index, 0) + len(offsets)
-        for word_index, need in demand.items():
-            if word_index in self._saturated_map:
-                continue
-            if self._words_list[word_index].bits_free < need:
-                if self.word_overflow == "raise":
-                    raise WordOverflowError(
-                        word_index,
-                        self._words_list[word_index].hierarchy_capacity_bits,
-                    )
-                self._saturate_word(word_index)
-        for word_index, offsets in zip(word_indices, groups):
-            if word_index in self._saturated_map:
-                self._overlay_insert(word_index, offsets)
-                continue
-            word = self._words_list[word_index]
-            for pos in offsets:
-                depth, bits = word.insert_bit(pos)
-                extra_bits += bits
-                if depth == 1:
-                    self._mirror_set(word_index, pos)
-        return extra_bits
-
     def record_bulk_update(self, kind: OpKind, count: int, extra_bits: float) -> None:
-        """Record ``count`` applied bulk inserts or deletes.
+        """Record ``count`` applied inserts or deletes (1 for a per-key call).
 
         ``extra_bits`` is their summed hierarchy traversal bandwidth.
         Shared with :class:`~repro.parallel.ShardedFilterBank`, which
@@ -511,7 +268,7 @@ class MPCBF(CountingFilterBase):
         )
 
     def record_bulk_query(self, count: int, word_accesses: float) -> None:
-        """Record ``count`` bulk queries that read ``word_accesses`` words."""
+        """Record ``count`` queries that read ``word_accesses`` words."""
         self.stats.record(
             OpKind.QUERY,
             count=count,
@@ -524,42 +281,28 @@ class MPCBF(CountingFilterBase):
         encoded = self._encode_bulk(keys)
         if len(encoded) == 0:
             return
-        if self.columns is not None:
-            word_idx, offsets = self.family.locate_array(encoded)
-            outcome = self.columns.bulk_insert(
-                word_idx, offsets, self._word_cols, self.word_overflow
-            )
-            self.overflow_events += int(outcome.overflow_events[0])
-            if outcome.error is not None:
-                # Scalar insert_many raises mid-batch before recording
-                # any statistics; earlier keys stay applied.
-                raise outcome.error
-            self.record_bulk_update(
-                OpKind.INSERT, len(encoded), float(outcome.extra_bits[0])
-            )
-            return
-        total_extra = 0.0
-        for word_indices, groups in self._grouped_rows(encoded):
-            total_extra += self._apply_insert(word_indices, groups)
-        self.record_bulk_update(OpKind.INSERT, len(encoded), total_extra)
+        word_idx, offsets = self.family.locate_array(encoded)
+        outcome = self.state.bulk_insert(
+            word_idx, offsets, self._word_cols, self.word_overflow
+        )
+        self.overflow_events += int(outcome.overflow_events[0])
+        if outcome.error is not None:
+            # A failing key stops the batch before any statistics are
+            # recorded; earlier keys stay applied.
+            raise outcome.error
+        for count, extra_bits in outcome.update_records():
+            self.record_bulk_update(OpKind.INSERT, count, extra_bits)
 
     def delete_many(self, keys: object) -> None:
         encoded = self._encode_bulk(keys)
         if len(encoded) == 0:
             return
-        if self.columns is None:
-            for key in encoded:
-                self.delete_encoded(int(key))
-            return
         word_idx, offsets = self.family.locate_array(encoded)
-        outcome = self.columns.bulk_delete(word_idx, offsets, self._word_cols)
+        outcome = self.state.bulk_delete(word_idx, offsets, self._word_cols)
         self.skipped_deletes += int(outcome.skipped_deletes[0])
-        if outcome.applied_keys:
-            # The scalar path records per successfully deleted key, so
-            # the prefix before a failing key is still accounted.
-            self.record_bulk_update(
-                OpKind.DELETE, outcome.applied_keys, float(outcome.extra_bits[0])
-            )
+        # Deletes before a failing key are still accounted.
+        for count, extra_bits in outcome.update_records():
+            self.record_bulk_update(OpKind.DELETE, count, extra_bits)
         if outcome.error is not None:
             raise outcome.error
 
@@ -568,9 +311,7 @@ class MPCBF(CountingFilterBase):
         if len(encoded) == 0:
             return np.zeros(0, dtype=bool)
         word_idx, offsets = self.family.locate_array(encoded)
-        member, accesses = probe_mirror(
-            self._mirror, word_idx, offsets, self._word_cols
-        )
+        member, accesses = self.state.bulk_query(word_idx, offsets, self._word_cols)
         self.record_bulk_query(len(encoded), float(accesses.sum()))
         return member
 
@@ -578,10 +319,8 @@ class MPCBF(CountingFilterBase):
         encoded = self._encode_bulk(keys)
         if len(encoded) == 0:
             return np.zeros(0, dtype=np.int64)
-        if self.columns is None:
-            return super().count_many(encoded)
         word_idx, offsets = self.family.locate_array(encoded)
-        return self.columns.bulk_count(word_idx, offsets, self._word_cols)
+        return self.state.bulk_count(word_idx, offsets, self._word_cols)
 
     def merge(self, other: "MPCBF") -> None:
         """Add another MPCBF's counters into this one (multiset union).
@@ -604,95 +343,10 @@ class MPCBF(CountingFilterBase):
             raise ConfigurationError(
                 "merge requires an identically configured MPCBF"
             )
-        if self.columns is not None:
-            self._merge_columnar(other)
-            return
-        for index, word in enumerate(other.words):
-            mine = self._words_list[index]
-            for pos in range(self.first_level_bits):
-                count = word.count(pos)
-                for _ in range(count):
-                    if index in self._saturated_map:
-                        self._overlay_insert(index, [pos])
-                        continue
-                    if mine.bits_free < 1:
-                        if self.word_overflow == "raise":
-                            raise WordOverflowError(
-                                index, mine.hierarchy_capacity_bits
-                            )
-                        self._saturate_word(index)
-                        self._overlay_insert(index, [pos])
-                        continue
-                    depth, _ = mine.insert_bit(pos)
-                    if depth == 1:
-                        self._mirror_set(index, pos)
-        # Membership-only overlays of the other side fold into ours.
-        for index, overlay in other._saturated.items():
-            self._saturate_word(index)
-            positions = [
-                pos
-                for pos in range(self.first_level_bits)
-                if (overlay >> pos) & 1
-            ]
-            if positions:
-                self._overlay_insert(index, positions)
-
-    def _merge_columnar(self, other: "MPCBF") -> None:
-        """Columnar merge: wholesale adds where safe, scalar replay where not.
-
-        Words whose incoming load fits the free budget merge with one
-        array add plus a hist/mirror rebuild; saturated or overflowing
-        words replay unit-by-unit in the exact scalar order so overlay
-        contents, ``overflow_events`` and raise points stay identical.
-        """
-        col = self.columns
-        other_counts = other.counts_matrix().astype(np.int64)
-        other_saturated = dict(other._saturated)
-        incoming = other_counts.sum(axis=1)
-        has_load = incoming > 0
-        trouble = has_load & ((incoming > col.capacity - col.used) | col.sat_mask)
-        limit = self.num_words
-        overflowing = trouble & ~col.sat_mask
-        if self.word_overflow == "raise" and overflowing.any():
-            # Scalar order: words merge by ascending index; the first
-            # over-budget unsaturated word raises, leaving later words
-            # untouched.
-            limit = int(np.flatnonzero(overflowing).min())
-        indices = np.arange(self.num_words)
-        easy = np.flatnonzero(has_load & ~trouble & (indices < limit))
-        if len(easy):
-            col.counts[easy] += other_counts[easy].astype(col.counts.dtype)
-            col.used[easy] += incoming[easy]
-            col.rebuild_hist_rows(easy)
-            col.rebuild_mirror_rows(easy)
-        for w in np.flatnonzero(trouble & (indices < limit)).tolist():
-            row = other_counts[w]
-            for pos in np.flatnonzero(row).tolist():
-                for _ in range(int(row[pos])):
-                    if col.sat_mask[w]:
-                        col._overlay_set(w, pos)
-                        self.overflow_events += 1
-                    elif col.used[w] >= col.capacity:
-                        col.sat_mask[w] = True
-                        col._overlay_set(w, pos)
-                        self.overflow_events += 1
-                    else:
-                        col.insert_one(w, pos)
-        if limit < self.num_words:
-            w = limit
-            row = other_counts[w]
-            for pos in np.flatnonzero(row).tolist():
-                for _ in range(int(row[pos])):
-                    if col.used[w] >= col.capacity:
-                        raise WordOverflowError(w, col.capacity)
-                    col.insert_one(w, pos)
-            raise AssertionError("merge trigger word did not overflow")
-        for index, overlay in other_saturated.items():
-            col.sat_mask[index] = True
-            for pos in range(self.first_level_bits):
-                if (overlay >> pos) & 1:
-                    col._overlay_set(index, pos)
-                    self.overflow_events += 1
+        outcome = self.state.merge(other.state, self.word_overflow)
+        self.overflow_events += int(outcome.overflow_events[0])
+        if outcome.error is not None:
+            raise outcome.error
 
     # -- kernel conversion ------------------------------------------------
     def counts_matrix(self) -> np.ndarray:
@@ -702,30 +356,12 @@ class MPCBF(CountingFilterBase):
         state (see :mod:`repro.kernels.columnar`), in one dtype for both
         kernels.  The columnar kernel returns its live array.
         """
-        if self.columns is not None:
-            return self.columns.counts
-        return np.array(
-            [
-                counts_from_levels(w._sizes, w._levels, self.first_level_bits)
-                for w in self._words_list
-            ],
-            dtype=counts_dtype(self.word_bits - self.first_level_bits),
-        ).reshape(self.num_words, self.first_level_bits)
+        return self.state.counts_matrix()
 
     def load_counts(self, counts: np.ndarray, saturated: dict[int, int]) -> None:
         """Replace the state with a :meth:`counts_matrix` and the
         ``{word index: overlay}`` map of saturated words."""
-        cols = self.columns
-        if cols is None:
-            cols = ColumnarHCBF(self.num_words, self.word_bits, self.first_level_bits)
-        cols.counts[...] = counts
-        cols.set_saturated(saturated)
-        cols.rebuild_derived()
-        if self.columns is None:
-            for i, word in enumerate(self._words_list):
-                word._sizes, word._levels = cols.word_level_state(i)
-            self._saturated_map = dict(saturated)
-            self._mirror_arr[...] = cols.mirror
+        self.state.load_counts(counts, saturated)
 
     def with_kernel(self, kernel: str) -> "MPCBF":
         """Deep copy of this filter on the requested kernel backend."""
@@ -759,14 +395,4 @@ class MPCBF(CountingFilterBase):
     # -- validation -------------------------------------------------------
     def check_invariants(self) -> None:
         """Check every word's invariants plus mirror consistency."""
-        if self.columns is not None:
-            self.columns.check_invariants()
-            return
-        for i, word in enumerate(self._words_list):
-            word.check_invariants()
-            value = word.first_level_value() | self._saturated_map.get(i, 0)
-            for limb in range(self._limbs):
-                expect = (value >> (64 * limb)) & 0xFFFFFFFFFFFFFFFF
-                assert int(self._mirror[i, limb]) == expect, (
-                    f"mirror desync at word {i} limb {limb}"
-                )
+        self.state.check_invariants()

@@ -33,10 +33,12 @@ the number of rounds is bounded by the per-word hierarchy budget
 cannot legally receive more pairs than it has budget for.  Overflow /
 underflow triggers are detected *before* applying a segment (rank-
 vs-budget comparisons on the sorted pairs), and the single triggering
-key is replayed through an exact scalar routine so error identity,
-saturation order and partial-application semantics match the scalar
-path bit for bit.  Tests drive both backends through randomized
-interleavings and assert identical observable state.
+key goes through the same per-key routine the filter's scalar API
+uses (:meth:`ColumnarHCBF.insert_key`, :meth:`ColumnarHCBF.delete_key`),
+so error identity, saturation order and partial-application semantics
+match the scalar oracle (:mod:`repro.kernels.scalar`) bit for bit.
+Tests drive both engines through randomized interleavings and assert
+identical observable state.
 
 Several filters can share one set of arrays as equal row blocks — a
 sharded bank's arena, where shard ``i`` owns words ``[i·l, (i+1)·l)``.
@@ -84,6 +86,10 @@ class KernelOutcome:
     skipped_deletes: np.ndarray
     applied_keys: int = 0
     error: Exception | None = None
+    #: Each applied key's traversal bits, from an engine that applies
+    #: keys one at a time (the scalar oracle's deletes); ``None`` when
+    #: only the per-block totals are known.
+    key_extra_bits: list[float] | None = None
 
     @classmethod
     def empty(cls, blocks: int) -> "KernelOutcome":
@@ -92,6 +98,16 @@ class KernelOutcome:
             overflow_events=np.zeros(blocks, dtype=np.int64),
             skipped_deletes=np.zeros(blocks, dtype=np.int64),
         )
+
+    def update_records(self) -> list[tuple[int, float]]:
+        """``(keys, traversal bits)`` to record, in order, for one block:
+        per key when known, so statistics accumulate exactly as the same
+        run of per-key updates would."""
+        if self.key_extra_bits is not None:
+            return [(1, bits) for bits in self.key_extra_bits]
+        if not self.applied_keys:
+            return []
+        return [(self.applied_keys, float(self.extra_bits[0]))]
 
 
 def _group_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,6 +153,18 @@ def probe_mirror(
     member = tested.all(axis=1)
     first_fail = np.where(member, len(word_cols) - 1, np.argmin(tested, axis=1))
     return member, word_cols[first_fail] + 1
+
+
+def key_groups(word_idx: np.ndarray, offsets: np.ndarray, word_cols: np.ndarray):
+    """Yield each located key's ``(word, offsets)`` groups, as Python ints.
+
+    The input of the engines' per-key routines, in hash-group order;
+    ``word_cols`` maps each offset column to its word column.
+    """
+    bounds = np.searchsorted(word_cols, np.arange(word_idx.shape[1] + 1)).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    for words, offs in zip(word_idx.tolist(), offsets.tolist()):
+        yield [(word, offs[lo:hi]) for word, (lo, hi) in zip(words, spans)]
 
 
 def _int_to_bits(value: int, size: int) -> np.ndarray:
@@ -293,31 +321,17 @@ class ColumnarHCBF:
             self.mirror[word_index, pos >> 6] &= ~np.uint64(1 << (pos & 63))
         return bits
 
-    def _key_groups(
-        self, word_row: np.ndarray, off_row: np.ndarray, word_cols: np.ndarray
-    ) -> list[tuple[int, list[int]]]:
-        """One key's ``(word, offsets)`` groups in hash-group order."""
-        bounds = np.searchsorted(word_cols, np.arange(len(word_row) + 1))
-        offs = off_row.tolist()
-        return [
-            (int(word_row[col]), offs[bounds[col] : bounds[col + 1]])
-            for col in range(len(word_row))
-        ]
-
-    def _insert_key_scalar(
-        self,
-        word_row: np.ndarray,
-        off_row: np.ndarray,
-        word_cols: np.ndarray,
-        policy: str,
+    # -- per-key routines (the filter's scalar API, trigger replay) ------
+    def insert_key(
+        self, groups: list[tuple[int, list[int]]], policy: str
     ) -> tuple[int, float]:
-        """Exact replica of the scalar ``MPCBF._apply_insert`` for one key.
+        """Insert one key's ``(word, offsets)`` groups, two-phase.
 
-        Returns ``(overflow_events, extra_bits)``; raises
-        :class:`WordOverflowError` under the ``raise`` policy with the
-        same word chosen by the same first-touch demand order.
+        A dry-run demand check first, so a failed insert leaves every
+        word untouched; raises :class:`WordOverflowError` under the
+        ``raise`` policy with the word chosen by the first-touch demand
+        order.  Returns ``(overflow_events, extra_bits)``.
         """
-        groups = self._key_groups(word_row, off_row, word_cols)
         demand: dict[int, int] = {}
         for word_index, offsets in groups:
             demand[word_index] = demand.get(word_index, 0) + len(offsets)
@@ -340,11 +354,14 @@ class ColumnarHCBF:
                     extra += self.insert_one(word_index, pos)
         return events, extra
 
-    def _underflow_error(
-        self, word_row: np.ndarray, off_row: np.ndarray, word_cols: np.ndarray
-    ) -> CounterUnderflowError:
-        """Rebuild the exact error the scalar validation would raise."""
-        groups = self._key_groups(word_row, off_row, word_cols)
+    def _underflow(
+        self, groups: list[tuple[int, list[int]]]
+    ) -> CounterUnderflowError | None:
+        """The error deleting one key's groups raises, if any.
+
+        Demand aggregates across all groups (with ``g > 1`` two groups
+        can land in one word); saturated words are skipped, not checked.
+        """
         demand: dict[tuple[int, int], int] = {}
         for word_index, offsets in groups:
             if self.sat_mask[word_index]:
@@ -354,7 +371,53 @@ class ColumnarHCBF:
         for (word_index, pos), need in demand.items():
             if int(self.counts[word_index, pos]) < need:
                 return CounterUnderflowError(pos)
-        raise AssertionError("bulk_delete flagged a key the scalar path accepts")
+        return None
+
+    def delete_key(self, groups: list[tuple[int, list[int]]]) -> tuple[int, float]:
+        """Delete one key, validated first; ``(skipped_deletes, extra_bits)``."""
+        error = self._underflow(groups)
+        if error is not None:
+            raise error
+        skipped = 0
+        extra = 0.0
+        for word_index, offsets in groups:
+            if self.sat_mask[word_index]:
+                skipped += len(offsets)
+                continue
+            for pos in offsets:
+                extra += self.delete_one(word_index, pos)
+        return skipped, extra
+
+    def query_key(self, groups: list[tuple[int, list[int]]]) -> tuple[bool, int]:
+        """``(member, words read)``: stops at the first word ruling it out.
+
+        The mirror holds exactly the first-level membership bits
+        (saturation overlays folded in), so each probe is one limb read.
+        """
+        mirror = self.mirror
+        accesses = 0
+        for word_index, offsets in groups:
+            accesses += 1
+            row = mirror[word_index]
+            if any(not (int(row[pos >> 6]) >> (pos & 63)) & 1 for pos in offsets):
+                return False, accesses
+        return True, accesses
+
+    def count_key(self, groups: list[tuple[int, list[int]]]) -> int:
+        """Multiplicity estimate: the minimum of the key's counters."""
+        counts = self.counts
+        overlay = self.overlay
+        best = None
+        for word_index, offsets in groups:
+            for pos in offsets:
+                value = int(counts[word_index, pos])
+                if (
+                    value == 0
+                    and (int(overlay[word_index, pos >> 6]) >> (pos & 63)) & 1
+                ):
+                    value = 1  # overlay knows membership, not multiplicity
+                best = value if best is None else min(best, value)
+        return int(best or 0)
 
     # -- vectorised pair application -------------------------------------
     def _live_groups(self, W: np.ndarray, sat: np.ndarray):
@@ -514,8 +577,8 @@ class ColumnarHCBF:
 
         Segments between overflow triggers apply wholesale through
         :meth:`_apply_pairs_insert`; each triggering key replays through
-        the exact scalar routine so saturation/raise semantics match the
-        scalar path (including partial application under ``raise``).
+        :meth:`insert_key` so saturation/raise semantics match the
+        per-key path (including partial application under ``raise``).
 
         ``block_words`` splits the words into row blocks of that many
         words (one per filter sharing these arrays): the outcome then
@@ -555,10 +618,11 @@ class ColumnarHCBF:
             if trigger is None:
                 out.applied_keys = n
                 return out
+            (groups,) = key_groups(
+                word_idx[stop : stop + 1], offsets[stop : stop + 1], word_cols
+            )
             try:
-                events, extra = self._insert_key_scalar(
-                    word_idx[stop], offsets[stop], word_cols, policy
-                )
+                events, extra = self.insert_key(groups, policy)
             except WordOverflowError as exc:
                 out.error = WordOverflowError(
                     exc.word_index % block_words, exc.capacity
@@ -582,7 +646,7 @@ class ColumnarHCBF:
 
         Pairs touching saturated words are skipped (counted in
         ``skipped_deletes``) and excluded from underflow validation,
-        exactly as ``MPCBF.delete_encoded`` does per key.
+        exactly as :meth:`delete_key` does per key.
         ``block_words`` is as for :meth:`bulk_insert`.
         """
         n, k = offsets.shape
@@ -608,9 +672,12 @@ class ColumnarHCBF:
                 )
             out.applied_keys = stop
         if fail is not None:
-            out.error = self._underflow_error(
-                word_idx[fail], offsets[fail], word_cols
+            (groups,) = key_groups(
+                word_idx[fail : fail + 1], offsets[fail : fail + 1], word_cols
             )
+            out.error = self._underflow(groups)
+            if out.error is None:
+                raise AssertionError("bulk_delete flagged a key delete_key accepts")
         return out
 
     def bulk_query(
@@ -637,7 +704,79 @@ class ColumnarHCBF:
         values = np.where((values == 0) & (member == _U1), 1, values)
         return values.min(axis=1)
 
+    def merge(self, other, policy: str) -> KernelOutcome:
+        """Add another same-geometry engine's counters into this one.
+
+        Words whose incoming load fits the free budget merge with one
+        array add plus a hist/mirror rebuild; saturated or overflowing
+        words replay unit by unit in the scalar engine's order, so
+        overlay contents, ``overflow_events`` and the raise point stay
+        identical.  An overflow under ``raise`` stops the merge and is
+        returned as the outcome's ``error``.
+        """
+        out = KernelOutcome.empty(1)
+        other_counts = other.counts_matrix().astype(np.int64)
+        other_saturated = dict(other.saturated_dict())
+        incoming = other_counts.sum(axis=1)
+        has_load = incoming > 0
+        trouble = has_load & ((incoming > self.capacity - self.used) | self.sat_mask)
+        limit = self.num_words
+        overflowing = trouble & ~self.sat_mask
+        if policy == "raise" and overflowing.any():
+            # Scalar order: words merge by ascending index; the first
+            # over-budget unsaturated word raises, leaving later words
+            # untouched.
+            limit = int(np.flatnonzero(overflowing).min())
+        indices = np.arange(self.num_words)
+        easy = np.flatnonzero(has_load & ~trouble & (indices < limit))
+        if len(easy):
+            self.counts[easy] += other_counts[easy].astype(self.counts.dtype)
+            self.used[easy] += incoming[easy]
+            self.rebuild_hist_rows(easy)
+            self.rebuild_mirror_rows(easy)
+        # Under ``raise`` every trouble word below ``limit`` is saturated,
+        # so only the limit word itself can reach the raise.
+        for w in np.flatnonzero(trouble & (indices <= limit)).tolist():
+            row = other_counts[w]
+            for pos in np.flatnonzero(row).tolist():
+                for _ in range(int(row[pos])):
+                    if self.sat_mask[w]:
+                        self._overlay_set(w, pos)
+                        out.overflow_events += 1
+                    elif self.used[w] >= self.capacity:
+                        if policy == "raise":
+                            out.error = WordOverflowError(w, self.capacity)
+                            return out
+                        self.sat_mask[w] = True
+                        self._overlay_set(w, pos)
+                        out.overflow_events += 1
+                    else:
+                        self.insert_one(w, pos)
+        for index, overlay in other_saturated.items():
+            self.sat_mask[index] = True
+            for pos in range(self.first_level_bits):
+                if (overlay >> pos) & 1:
+                    self._overlay_set(index, pos)
+                    out.overflow_events += 1
+        return out
+
     # -- conversions -------------------------------------------------------
+    @property
+    def words(self) -> "WordsView":
+        """Lazy read-only :class:`HCBFWord` snapshots, one per word."""
+        return WordsView(self)
+
+    def counts_matrix(self) -> np.ndarray:
+        """Every word's counter values, ``(l, b1)`` (the live array)."""
+        return self.counts
+
+    def load_counts(self, counts: np.ndarray, saturated: dict[int, int]) -> None:
+        """Replace the state with a counts matrix and the ``{word index:
+        overlay}`` map of saturated words."""
+        self.counts[...] = counts
+        self.set_saturated(saturated)
+        self.rebuild_derived()
+
     def word_level_state(self, word_index: int) -> tuple[list[int], list[int]]:
         """One word's canonical ``(sizes, level bitmaps)``.
 

@@ -13,7 +13,7 @@ Modules
 -------
 * :mod:`~repro.service.protocol` — versioned length-prefixed binary
   wire format: keyed frames carry u64 wire-key columns (BULK64_*),
-  plus PING/STATS/SNAPSHOT/HELLO and the shared record codec.
+  plus PING/STATS/SNAPSHOT and the shared record codec.
 * :mod:`~repro.service.server` — the daemon (:class:`FilterServer`,
   :func:`serve`).
 * :mod:`~repro.service.batching` — the coalescer

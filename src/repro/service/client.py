@@ -66,19 +66,15 @@ import numpy as np
 from repro.hashing.encoders import encode_bytes, encode_str_array
 from repro.overload import Deadline
 from repro.service.protocol import (
-    FEATURE_BULK64,
-    PROTOCOL_VERSION,
     ErrorCode,
     FrameDecoder,
     Opcode,
     ProtocolError,
     RemoteError,
     decode_error_body,
-    decode_hello_body,
     encode_bulk64_body,
     encode_deadline_body,
     encode_frame,
-    encode_hello_body,
     read_frame,
     unpack_bools_array,
     unpack_counts64,
@@ -160,13 +156,6 @@ def _first_bool(body: bytes) -> bool:
 def _json(body: bytes) -> dict:
     return json.loads(body.decode("utf-8"))
 
-
-def _bulk64_feature(body: bytes) -> bool:
-    return bool(decode_hello_body(body)[1] & FEATURE_BULK64)
-
-
-#: This client's HELLO body.
-_HELLO = encode_hello_body(PROTOCOL_VERSION, FEATURE_BULK64)
 
 #: Keyed opcode → (reply opcode, reply decoder).
 _KEYED = {
@@ -331,18 +320,6 @@ class _RequestCore:
     def ping(self) -> bool:
         return self._exchange(_Request(Opcode.PING, b"", Opcode.OK, _true))
 
-    def hello(self) -> tuple[int, int]:
-        """One capability exchange → (server version, feature bits)."""
-        return self._exchange(
-            _Request(Opcode.HELLO, _HELLO, Opcode.HELLO, decode_hello_body)
-        )
-
-    def bulk64_supported(self) -> bool:
-        """Whether the server's HELLO advertises the BULK64 frames."""
-        return self._exchange(
-            _Request(Opcode.HELLO, _HELLO, Opcode.HELLO, _bulk64_feature)
-        )
-
     def stats(self) -> dict:
         return self._exchange(_Request(Opcode.STATS, b"", Opcode.JSON, _json))
 
@@ -446,6 +423,14 @@ class FilterClient(_RequestCore):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def bulk64_supported(self) -> bool:
+        """Whether the server speaks the BULK64 frames: one PING.
+
+        Every server does (they are the only keyed requests), so this is
+        a liveness check kept for scripts that ask before bulk traffic.
+        """
+        return self.ping()
 
     def _exchange(self, request: _Request):
         frame = self._frame(request)

@@ -22,13 +22,11 @@ Request bodies::
     PING / STATS / SNAPSHOT  (empty)
     BULK64_INSERT / _DELETE / _QUERY / _COUNT
                              u32 count | count x u64 key
-    HELLO                    u8 version | u32 feature bits
     DEADLINE                 u32 budget_us | u8 inner opcode | inner body
 
 A point operation is a one-key column.  The server decodes a column
 with a zero-copy ``np.frombuffer`` view and hands it straight to the
-columnar kernels.  ``HELLO`` answers with the server's version and
-feature bits.
+columnar kernels.
 
 A ``DEADLINE`` frame wraps any other request and attaches the caller's
 *remaining* time budget in microseconds (client deadline minus elapsed
@@ -106,7 +104,6 @@ from repro.errors import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "FEATURE_BULK64",
     "MAX_FRAME_BYTES",
     "MAX_BUDGET_US",
     "Opcode",
@@ -127,8 +124,6 @@ __all__ = [
     "parse_retry_after",
     "encode_bulk64_body",
     "decode_bulk64_body",
-    "encode_hello_body",
-    "decode_hello_body",
     "encode_error_body",
     "decode_error_body",
     "encode_record",
@@ -158,8 +153,6 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
-#: HELLO feature bit: the peer speaks BULK64_* / COUNTS64 frames.
-FEATURE_BULK64 = 0x1
 #: Upper bound on one frame's payload; bounds per-connection buffering.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -180,7 +173,6 @@ class Opcode(enum.IntEnum):
     BULK64_DELETE = 0x0A
     BULK64_QUERY = 0x0B
     BULK64_COUNT = 0x0C
-    HELLO = 0x0D
     # replication (primary → replica; see repro.cluster.replication)
     REPLICATE = 0x10
     REPL_STATUS = 0x11
@@ -413,7 +405,6 @@ def parse_retry_after(message: str) -> tuple[float | None, str]:
 
 
 _COUNT = struct.Struct("<I")  # key / record count
-_HELLO_BODY = struct.Struct("<BI")
 
 
 def encode_bulk64_body(keys) -> bytes:
@@ -457,23 +448,6 @@ def decode_bulk64_body(body: bytes) -> np.ndarray:
             f"count {count} needs {count * 8}"
         )
     return np.frombuffer(body, dtype="<u8", count=count, offset=4)
-
-
-def encode_hello_body(version: int, features: int) -> bytes:
-    """Build a HELLO body: the sender's version ceiling + feature bits."""
-    if not 0 <= version <= 0xFF:
-        raise ProtocolError(f"hello version {version} out of u8 range")
-    return _HELLO_BODY.pack(version, features & 0xFFFFFFFF)
-
-
-def decode_hello_body(body: bytes) -> tuple[int, int]:
-    """Inverse of :func:`encode_hello_body` → (version, features)."""
-    if len(body) != _HELLO_BODY.size:
-        raise ProtocolError(
-            f"hello body must be {_HELLO_BODY.size} bytes, got {len(body)}"
-        )
-    version, features = _HELLO_BODY.unpack(body)
-    return version, features
 
 
 _RECORD_PREFIX = struct.Struct("<QBH")  # seq, op, header length

@@ -48,14 +48,11 @@ from repro.overload import AdmissionController, Deadline, TokenBucket
 from repro.service.batching import FilterExecutor, MicroBatcher, apply_record
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
-    FEATURE_BULK64,
-    PROTOCOL_VERSION,
     REBALANCE_OPS,
     Opcode,
     ProtocolError,
     WalRecord,
     decode_deadline_body,
-    decode_hello_body,
     decode_migrate_apply_body,
     decode_migrate_commit_body,
     decode_record,
@@ -64,7 +61,6 @@ from repro.service.protocol import (
     encode_ack_body,
     encode_error_body,
     encode_frame,
-    encode_hello_body,
     encode_migrate_read_resp,
     error_code_for,
     format_retry_after,
@@ -468,13 +464,6 @@ class FilterServer:
             deadline = Deadline.after(budget_us / 1e6)
         if opcode == Opcode.PING:
             return encode_frame(Opcode.OK)
-        if opcode == Opcode.HELLO:
-            # Capability discovery: answer with the server's version and
-            # feature bits.
-            decode_hello_body(body)
-            return encode_frame(
-                Opcode.HELLO, encode_hello_body(PROTOCOL_VERSION, FEATURE_BULK64)
-            )
         if opcode == Opcode.STATS:
             report = await self.batcher.run(self._stats_report)
             return encode_frame(

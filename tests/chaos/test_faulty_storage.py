@@ -32,6 +32,24 @@ class TestWatermarks:
             handle.write(b"B" * 10)
         assert storage.unsynced_bytes() == 10
 
+    def test_reopen_truncating_resets_watermarks(self, tmp_path):
+        storage = FaultyStorage()
+        path = tmp_path / "blob"
+        with storage.open(path, "wb") as handle:
+            handle.write(b"A" * 100)
+            storage.fsync(handle)
+        with storage.open(path, "wb") as handle:
+            handle.write(b"B" * 10)
+        # The old synced bytes are gone; the rewrite was never synced.
+        assert storage.unsynced_bytes() == 10
+
+        class LowCut:
+            def randint(self, lo, hi):
+                return lo
+
+        assert storage.crash(LowCut()) == [(str(path), 10, 0)]
+        assert path.read_bytes() == b""
+
 
 class TestCrash:
     def test_crash_tears_only_the_unsynced_tail(self, tmp_path):

@@ -2,12 +2,13 @@
 
 Every example drives the same randomized operation interleaving through
 a columnar-kernel MPCBF and its scalar twin, comparing after *every*
-operation: membership, counters, the packed mirror, saturation
-overlays, overflow/skip counters, stored hierarchy bits, the raised
-error (type and args), and the recorded ``AccessStats``.  Integer stat
-fields must match exactly; ``hash_bits`` approximately (the two
-backends sum identical log2 terms in different orders and through
-``math.log2`` vs a ``np.log2`` table, so the totals agree to ulps).
+operation: membership and counts (bulk and per-key probes), counters,
+the packed mirror, saturation overlays, overflow/skip counters, stored
+hierarchy bits, the raised error (type and args), and the recorded
+``AccessStats``.  Integer stat fields must match exactly; ``hash_bits``
+approximately (the two backends sum identical log2 terms in different
+orders and through ``math.log2`` vs a ``np.log2`` table, so the totals
+agree to ulps).
 
 The op mix deliberately includes deletes of absent keys (underflow
 mid-batch), repeated keys in one batch (deep counters, demand
@@ -92,6 +93,10 @@ def _run_interleaving(col: MPCBF, sca: MPCBF, ops) -> None:
                 _apply_both(col, sca, lambda f: f.delete_many(batch))
         assert np.array_equal(col.query_many(probes), sca.query_many(probes))
         assert np.array_equal(col.count_many(probes), sca.count_many(probes))
+        # The per-key probes run each engine's own per-key routines.
+        for probe in probes.tolist():
+            assert col.query_encoded(probe) == sca.query_encoded(probe)
+            assert col.count_encoded(probe) == sca.count_encoded(probe)
         _assert_stats_equal(col, sca)
     col.check_invariants()
     sca.check_invariants()

@@ -1,4 +1,4 @@
-"""Wire-key acceptance: negotiation, protocol rejection, differential oracle.
+"""Wire-key acceptance: protocol rejection, differential oracle.
 
 Every keyed request travels as a column of client-encoded u64 wire
 keys.  That must be an encoding, never a semantic fork: a workload
@@ -21,7 +21,6 @@ from repro.filters.factory import FilterSpec, build_filter
 from repro.parallel.sharded import ShardedFilterBank
 from repro.service.client import AsyncFilterClient, FilterClient
 from repro.service.protocol import (
-    FEATURE_BULK64,
     PROTOCOL_VERSION,
     ErrorCode,
     FrameDecoder,
@@ -73,48 +72,27 @@ def _raw_exchange(port: int, payload: bytes) -> tuple[Opcode, bytes]:
 
 
 class TestNegotiation:
-    def test_hello_reports_bulk64(self):
+    def test_bulk64_supported(self):
         async def main():
             server = await start_server(make_bank())
             try:
                 with FilterClient(port=server.port) as client:
-                    version, features = await asyncio.to_thread(client.hello)
-                    supported = await asyncio.to_thread(client.bulk64_supported)
+                    return await asyncio.to_thread(client.bulk64_supported)
             finally:
                 await server.stop()
-            return version, features, supported
 
-        version, features, supported = run(main())
-        assert version == PROTOCOL_VERSION
-        assert features & FEATURE_BULK64
-        assert supported
-
-    def test_async_hello_reports_bulk64(self):
-        async def main():
-            server = await start_server(make_bank())
-            try:
-                async with AsyncFilterClient(port=server.port) as client:
-                    version, features = await client.hello()
-                    supported = await client.bulk64_supported()
-            finally:
-                await server.stop()
-            return version, features, supported
-
-        version, features, supported = run(main())
-        assert version == PROTOCOL_VERSION
-        assert features & FEATURE_BULK64
-        assert supported
+        assert run(main())
 
     def test_removed_opcodes_and_versions_answer_protocol_error(self):
-        """The byte-key frames (0x02-0x05) and any version byte but
-        PROTOCOL_VERSION draw a PROTOCOL error frame; the daemon keeps
-        serving."""
+        """The byte-key frames (0x02-0x05), the HELLO capability frame
+        (0x0D) and any version byte but PROTOCOL_VERSION draw a PROTOCOL
+        error frame; the daemon keeps serving."""
 
         async def main():
             server = await start_server(make_bank())
             payloads = [
                 struct.pack("<BB", PROTOCOL_VERSION, raw_op) + b"key"
-                for raw_op in (0x02, 0x03, 0x04, 0x05)
+                for raw_op in (0x02, 0x03, 0x04, 0x05, 0x0D)
             ] + [
                 struct.pack("<BB", version, Opcode.PING)
                 for version in (0, 2, 255)

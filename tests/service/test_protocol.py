@@ -17,7 +17,6 @@ from repro.errors import (
 )
 from repro.service.client import wire_keys
 from repro.service.protocol import (
-    FEATURE_BULK64,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ErrorCode,
@@ -27,13 +26,11 @@ from repro.service.protocol import (
     decode_bulk64_body,
     decode_deadline_body,
     decode_error_body,
-    decode_hello_body,
     decode_payload,
     encode_bulk64_body,
     encode_deadline_body,
     encode_error_body,
     encode_frame,
-    encode_hello_body,
     error_code_for,
     pack_bools,
     pack_counts64,
@@ -222,14 +219,6 @@ class TestBulk64:
         [(opcode, body)] = list(decoder.frames())
         assert opcode == Opcode.BULK64_INSERT
         assert np.array_equal(decode_bulk64_body(body), keys)
-
-    def test_hello_round_trip(self):
-        body = encode_hello_body(PROTOCOL_VERSION, FEATURE_BULK64)
-        assert decode_hello_body(body) == (PROTOCOL_VERSION, FEATURE_BULK64)
-        with pytest.raises(ProtocolError):
-            decode_hello_body(body + b"x")
-        with pytest.raises(ProtocolError):
-            decode_hello_body(body[:-1])
 
     def test_counts64_round_trip(self):
         counts = np.array([0, 1, 2**40, 2**64 - 1], dtype=np.uint64)

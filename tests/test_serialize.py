@@ -387,6 +387,49 @@ class TestMpcbfPayload:
             str(i): hex(v) for i, v in sorted(filt._saturated.items())
         }
 
+    #: sha256 of ``dump_filter`` after :meth:`_golden_script`, per
+    #: overflow policy: the committed on-disk bytes of an MPCBF snapshot.
+    GOLDEN_SHA256 = {
+        "saturate": "f42cc47944fb7e877277fa0ac4d45853002d5a66d863fbcab94e77a9f6b93ea1",
+        "raise": "6aae78d3a729a426956051fffd7554e0c4d1ae9783f114e48f09a2ad5e6ec1a3",
+    }
+
+    @staticmethod
+    def _golden_script(kernel: str, policy: str):
+        """Fixed per-key and bulk updates that fill words to overflow."""
+        from repro.errors import ReproError
+
+        filt = MPCBF(
+            16, 64, 3, g=2, n_max=4, seed=7, word_overflow=policy, kernel=kernel
+        )
+        errors = []
+        steps = [
+            lambda: [filt.insert(f"g{i}") for i in range(12)],
+            lambda: filt.insert_many([f"g{i}" for i in range(8, 40)]),
+            lambda: filt.delete_many([f"g{i}" for i in range(0, 6)] + ["absent"]),
+            lambda: [filt.delete(f"g{i}") for i in (9, 10, 41)],
+            lambda: filt.insert_many([f"h{i}" for i in range(30)]),
+        ]
+        for step in steps:
+            try:
+                step()
+            except ReproError as exc:
+                errors.append(type(exc).__name__)
+        return filt, errors
+
+    @pytest.mark.parametrize("kernel", ["columnar", "scalar"])
+    @pytest.mark.parametrize("policy", ["saturate", "raise"])
+    def test_golden_snapshot_bytes(self, kernel, policy):
+        import hashlib
+
+        filt, errors = self._golden_script(kernel, policy)
+        if policy == "saturate":
+            assert filt._saturated
+        else:
+            assert "WordOverflowError" in errors
+        digest = hashlib.sha256(dump_filter(filt)).hexdigest()
+        assert digest == self.GOLDEN_SHA256[policy]
+
     def test_version_one_blob_is_rejected(self):
         blob = bytearray(dump_filter(MPCBF(8, 64, 3, n_max=5)))
         blob[4:8] = (1).to_bytes(4, "little")

@@ -55,6 +55,7 @@ MODULES = [
     "repro.filters.factory",
     "repro.kernels",
     "repro.kernels.columnar",
+    "repro.kernels.scalar",
     "repro.kernels.grouped",
     "repro.kernels.shmem",
     "repro.analysis",
