@@ -1,7 +1,7 @@
 """Snapshot dump/load time of a served MPCBF bank.
 
-A snapshot runs on the daemon's batcher thread, so every request waits
-behind it.  The bank here has the end-to-end benchmark's geometry
+A snapshot runs on the daemon's event loop thread, so every request
+waits behind it.  The bank here has the end-to-end benchmark's geometry
 (``perfbench/run.py``): MPCBF-2, k=3, two shards of 2 Mb (32,768
 64-bit words each, b1 = 40) holding 100 K members.  The MPCBF payload
 is the counter matrix, written and read as one array, so a dump or a

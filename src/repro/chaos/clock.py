@@ -13,12 +13,14 @@ returns immediately.  Every ``asyncio.sleep`` / ``wait_for`` /
 virtual time automatically — a 60-second retry/backoff/quorum-timeout
 schedule executes in milliseconds of wall clock.
 
-Worker threads are the one thing that cannot be virtualised: filter
-kernels run on a real executor thread via ``run_in_executor``.  The
-loop counts in-flight executor work and, while any is pending, polls
-the real selector in short slices *without advancing the clock* — so a
-timer can never fire "during" a computation that would have finished
-first, which is what keeps cross-thread interleavings deterministic.
+Worker threads are the one thing that cannot be virtualised.  Filter
+kernels run inline on the loop's thread, so the simulated cluster needs
+none, but asyncio itself may still hand work to an executor via
+``run_in_executor``.  The loop counts in-flight executor work and,
+while any is pending, polls the real selector in short slices *without
+advancing the clock* — so a timer can never fire "during" a
+computation that would have finished first, which keeps cross-thread
+interleavings deterministic.
 """
 
 from __future__ import annotations

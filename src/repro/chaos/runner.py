@@ -43,7 +43,6 @@ import contextlib
 import random
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -134,16 +133,12 @@ class ChaosRunner:
         self.oracle = build_filter(_ORACLE_SPEC)
         self.oracle_seq = 0
         self.nodes: list[_Node] = []
-        self.executor: ThreadPoolExecutor | None = None
         self.loop: SimEventLoop | None = None
 
     # -- entry point ------------------------------------------------------
     def run(self) -> dict:
         """Run the schedule to completion; returns the report dict."""
         base = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-chaos"
-        )
         self.loop = SimEventLoop(self.clock)
         asyncio.set_event_loop(self.loop)
         try:
@@ -154,7 +149,6 @@ class ChaosRunner:
             finally:
                 asyncio.set_event_loop(None)
                 self.loop.close()
-                self.executor.shutdown(wait=True)
                 shutil.rmtree(base, ignore_errors=True)
         return self._report()
 
@@ -241,7 +235,6 @@ class ChaosRunner:
             max_batch=64,
             quorum_timeout_s=1.0,
             transport=node.transport,
-            executor=self.executor,
             storage=node.storage,
             rng=node.rng,
         )
@@ -249,16 +242,15 @@ class ChaosRunner:
         node.server = server
 
     async def _crash_node(self, node: _Node) -> None:
-        """Quiesced crash-stop: abort, drain the worker, tear the disk."""
+        """Quiesced crash-stop: abort, then tear the disk."""
         if node.server is None:
             return
         self.counters["crashes"] += 1
         server, node.server = node.server, None
+        # Batches run inline and never span an await, so no batch (nor
+        # its fsync) is mid-flight here: the cut points are a pure
+        # function of the schedule.
         await server.abort()
-        # Barrier on the shared worker: the in-flight batch (including
-        # its fsync) has finished before we touch the files, so the cut
-        # points are a pure function of the schedule.
-        await self.loop.run_in_executor(self.executor, lambda: None)
         if server.wal is not None:
             server.wal.abandon()
         torn = node.storage.crash(self.fault_rng)
@@ -413,9 +405,7 @@ class ChaosRunner:
                 return
             await asyncio.sleep(0.25)
         # Every replica's last record has fully applied once its WAL
-        # reaches the target (append and apply share the worker call);
-        # one barrier makes that visible to this thread.
-        await self.loop.run_in_executor(self.executor, lambda: None)
+        # reaches the target: append and apply share one inline call.
         await self._checkpoint()
         self._check_invariants()
 

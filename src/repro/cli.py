@@ -501,9 +501,11 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                 print(f"seed {seed}: minimal failing schedule -> {out}")
     if args.sweep:
         elapsed = time.monotonic() - started
+        # stderr: the timing differs run to run, stdout must not.
         print(
             f"sweep: {len(seeds) - failures}/{len(seeds)} seeds ok "
-            f"in {elapsed:.1f}s"
+            f"in {elapsed:.1f}s",
+            file=sys.stderr,
         )
     return 1 if failures else 0
 

@@ -61,12 +61,17 @@ logger = get_logger("cluster.node")
 class WalSnapshotManager(SnapshotManager):
     """Snapshot manager that compacts the WAL behind each dump.
 
-    Runs on the batcher's worker thread like its base class, which is
-    what makes ``wal.last_seq`` at dump time exact: no mutation can be
-    mid-apply while the dump runs, so the snapshot covers precisely the
-    records up to that sequence.  The sequence is embedded in the dump's
+    Runs through the batcher's ``run`` like its base class, on the
+    event loop's thread between batches, which is what makes
+    ``wal.last_seq`` at dump time exact: no mutation can be mid-apply
+    while the dump runs, so the snapshot covers precisely the records
+    up to that sequence.  The sequence is embedded in the dump's
     trailer, so snapshot and sequence can never be observed out of sync
     by a crash between two writes.
+
+    Compaction keeps every record a connected replica has not acked:
+    dropping one would turn a replica one record behind into a full
+    state transfer.
     """
 
     def __init__(self, filt, path, wal: WriteAheadLog, **kwargs) -> None:
@@ -77,6 +82,9 @@ class WalSnapshotManager(SnapshotManager):
         #: the migration's source of truth (streams are WAL replays),
         #: so compaction must wait for the plan to commit.
         self.rebalance = None
+        #: Optional :class:`~repro.cluster.replication.ReplicationManager`
+        #: (primary role); its connected links bound compaction.
+        self.replication = None
 
     def _dump(self) -> dict:
         seq = self.wal.last_seq
@@ -92,9 +100,10 @@ class WalSnapshotManager(SnapshotManager):
             report["wal_segments_removed"] = 0
             report["wal_truncation_held"] = True
             return report
-        report["wal_segments_removed"] = self.wal.truncate_through(
-            report["wal_seq"]
-        )
+        through = report["wal_seq"]
+        if self.replication is not None:
+            through = min(through, self.replication.connected_acked_seq())
+        report["wal_segments_removed"] = self.wal.truncate_through(through)
         return report
 
 
@@ -198,7 +207,6 @@ def build_node_server(
     admission_burst: float | None = None,
     deadline_default_s: float | None = None,
     transport=None,
-    executor=None,
     storage=None,
     rng=None,
 ) -> FilterServer:
@@ -221,10 +229,9 @@ def build_node_server(
     :mod:`repro.overload`.  Replication and rebalance opcodes bypass
     admission, so a shedding node still converges with its primary.
 
-    ``transport`` / ``executor`` / ``storage`` / ``rng`` are the chaos
-    harness's simulation seams (in-memory network, shared deterministic
-    worker, fault-tracking storage, seeded jitter); all default to the
-    production implementations.
+    ``transport`` / ``storage`` / ``rng`` are the chaos harness's
+    simulation seams (in-memory network, fault-tracking storage, seeded
+    jitter); all default to the production implementations.
     """
     replication = (
         ReplicationManager(
@@ -269,12 +276,12 @@ def build_node_server(
         ),
         deadline_default_s=deadline_default_s,
         transport=transport,
-        executor=executor,
     )
     rebalance.metrics = server.metrics
     if manager is not None:
         manager.metrics = server.metrics
         manager.rebalance = rebalance
+        manager.replication = replication
     if replication is not None:
         async def snapshot_source() -> tuple[int, bytes]:
             def dump() -> tuple[int, bytes]:

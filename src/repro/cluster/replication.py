@@ -180,6 +180,17 @@ class ReplicationManager:
         """Highest sequence held by a quorum of the group."""
         return self._committed_seq
 
+    def connected_acked_seq(self) -> int:
+        """Lowest seq acked by a connected replica (``wal.last_seq`` if none).
+
+        WAL compaction keeps every record above it, so a live stream
+        resumes from the log instead of a full state transfer.
+        """
+        return min(
+            (link.acked_seq for link in self.links if link.connected),
+            default=self.wal.last_seq,
+        )
+
     def lag_records(self) -> dict[str, int]:
         """Per-replica replication lag, in WAL records."""
         return {

@@ -376,6 +376,10 @@ class RouterBackend:
     worker thread, so the connection cache needs no locks.
     """
 
+    #: Fan-out calls block on the shard nodes' sockets, so the hosting
+    #: server runs them on a worker thread: inline, a loop that also
+    #: serves those nodes would wait on itself.
+    needs_worker_thread = True
     supports_deletion = True
     #: The router holds no filter memory of its own.
     total_bits = 0

@@ -225,10 +225,7 @@ class MPCBF(CountingFilterBase):
     # -- scalar ---------------------------------------------------------
     def _groups(self, encoded_key: int) -> list[tuple[int, list[int]]]:
         """One key's ``(word, offsets)`` groups, the per-key engine input."""
-        family = self.family
-        return list(
-            zip(family.word_indices(encoded_key), family.grouped_offsets(encoded_key))
-        )
+        return self.family.groups(encoded_key)
 
     def insert_encoded(self, encoded_key: int) -> None:
         events, extra_bits = self.state.insert_key(

@@ -84,9 +84,8 @@ class OneAccessBloomFilter(FilterBase):
 
     # -- scalar ---------------------------------------------------------
     def insert_encoded(self, encoded_key: int) -> None:
-        words = self.family.word_indices(encoded_key)
-        groups = self.family.grouped_offsets(encoded_key)
-        for word_index, offsets in zip(words, groups):
+        groups = self.family.groups(encoded_key)
+        for word_index, offsets in groups:
             value = self.memory.read(word_index)
             for bit in offsets:
                 value |= 1 << bit
@@ -94,17 +93,16 @@ class OneAccessBloomFilter(FilterBase):
             self.memory.write(word_index, value)
         self.stats.record(
             OpKind.INSERT,
-            word_accesses=float(len(words)),
+            word_accesses=float(len(groups)),
             hash_bits=self._budget.total_bits,
             hash_calls=self._budget.hash_calls,
         )
 
     def query_encoded(self, encoded_key: int) -> bool:
-        words = self.family.word_indices(encoded_key)
-        groups = self.family.grouped_offsets(encoded_key)
+        groups = self.family.groups(encoded_key)
         accesses = 0
         result = True
-        for word_index, offsets in zip(words, groups):
+        for word_index, offsets in groups:
             accesses += 1
             value = self.memory.read(word_index)
             if any(not (value >> bit) & 1 for bit in offsets):

@@ -100,10 +100,9 @@ class PartitionedCBF(CountingFilterBase):
         return view
 
     def _flat_indices(self, encoded_key: int) -> list[int]:
-        words = self.family.word_indices(encoded_key)
-        groups = self.family.grouped_offsets(encoded_key)
+        groups = self.family.groups(encoded_key)
         flat: list[int] = []
-        for word_index, offsets in zip(words, groups):
+        for word_index, offsets in groups:
             base = word_index * self.counters_per_word
             flat.extend(base + off for off in offsets)
         return flat
@@ -139,11 +138,10 @@ class PartitionedCBF(CountingFilterBase):
         )
 
     def query_encoded(self, encoded_key: int) -> bool:
-        words = self.family.word_indices(encoded_key)
-        groups = self.family.grouped_offsets(encoded_key)
+        groups = self.family.groups(encoded_key)
         accesses = 0
         result = True
-        for word_index, offsets in zip(words, groups):
+        for word_index, offsets in groups:
             accesses += 1
             base = word_index * self.counters_per_word
             if any(self._counters[base + off] == 0 for off in offsets):

@@ -197,9 +197,11 @@ class PartitionedHashFamily:
             f"seed={self.seed})"
         )
 
-    def word_indices(self, encoded_key: int) -> list[int]:
-        """Return the ``g`` word indices for one key."""
-        first_mix = splitmix64(encoded_key ^ self._offset_seeds[0])
+    def _first_mix(self, encoded_key: int) -> int:
+        """The mix shared by word 0 (upper bits) and offset 0 (modulus)."""
+        return splitmix64(encoded_key ^ self._offset_seeds[0])
+
+    def _words(self, encoded_key: int, first_mix: int) -> list[int]:
         words = [(first_mix >> 32) % self.num_words]
         words.extend(
             splitmix64(encoded_key ^ s) % self.num_words
@@ -207,20 +209,35 @@ class PartitionedHashFamily:
         )
         return words
 
+    def _offsets(self, encoded_key: int, first_mix: int) -> list[int]:
+        flat = [first_mix % self.offset_range]
+        flat.extend(
+            splitmix64(encoded_key ^ s) % self.offset_range
+            for s in self._offset_seeds[1:]
+        )
+        return flat
+
+    def word_indices(self, encoded_key: int) -> list[int]:
+        """Return the ``g`` word indices for one key."""
+        return self._words(encoded_key, self._first_mix(encoded_key))
+
     def offsets(self, encoded_key: int) -> list[int]:
         """Return the flat ``k`` in-word offsets for one key."""
-        return [
-            splitmix64(encoded_key ^ s) % self.offset_range
-            for s in self._offset_seeds
-        ]
+        return self._offsets(encoded_key, self._first_mix(encoded_key))
 
-    def grouped_offsets(self, encoded_key: int) -> list[list[int]]:
-        """Return offsets grouped per word: ``g`` lists summing to k."""
-        flat = self.offsets(encoded_key)
-        groups: list[list[int]] = []
+    def groups(self, encoded_key: int) -> list[tuple[int, list[int]]]:
+        """One key's ``g`` ``(word index, offsets)`` pairs.
+
+        The per-key twin of :meth:`locate_array`: one pass of exactly
+        ``k + g − 1`` mixes.  Word ``i`` takes the next
+        ``k_per_word[i]`` offsets of :meth:`offsets`.
+        """
+        first_mix = self._first_mix(encoded_key)
+        flat = self._offsets(encoded_key, first_mix)
+        groups: list[tuple[int, list[int]]] = []
         start = 0
-        for count in self.k_per_word:
-            groups.append(flat[start : start + count])
+        for word, count in zip(self._words(encoded_key, first_mix), self.k_per_word):
+            groups.append((word, flat[start : start + count]))
             start += count
         return groups
 

@@ -7,7 +7,7 @@ request path already uses, so span durations show up in STATS and on
 request latencies they decompose.  The daemon instruments four spans:
 ``protocol_decode`` (frame body → request), ``coalesce_wait`` (enqueue →
 dispatch, the latency the batcher *adds*), ``filter_execute`` (bulk
-filter work on the worker thread) and ``snapshot_write``.
+filter work, inline on the event loop) and ``snapshot_write``.
 
 Two ways in: ``with span("name", sink): ...`` for a block, or
 ``@spanned("name")`` on a method of an object carrying a sink attribute

@@ -4,11 +4,11 @@ One :class:`RebalanceState` lives inside every cluster node's server
 and holds the node's installed :class:`~repro.rebalance.epochs.
 RingEpoch`, its in-flight migration sessions, and the *gate* the
 request path consults before every client operation.  All mutating
-entry points run on the server's batcher worker thread (the server
-dispatches them through ``batcher.run``), which is what makes a fence
-a true barrier: the fence sequence is snapshotted on the same thread
-that applies mutations, so no write can land "between" the fence and
-its sequence.
+entry points run on the event loop's thread between batches (the
+server dispatches them through ``batcher.run``), which is what makes a
+fence a true barrier: the fence sequence is snapshotted on the same
+thread that applies mutations, so no write can land "between" the
+fence and its sequence.
 
 Why streams carry WAL records, not filter bytes
 -----------------------------------------------
@@ -230,7 +230,7 @@ class RebalanceState:
 
     # -- the gate --------------------------------------------------------
     def gate(self, op: Opcode, keys) -> None:
-        """Screen one client request (on the batcher worker thread).
+        """Screen one client request (inside the batch's apply call).
 
         Raises :class:`MovedError` for keys this node no longer owns
         under its installed epoch, and :class:`WrongEpochError` for
@@ -359,8 +359,8 @@ class RebalanceState:
     def fence(self, plan: str) -> dict:
         """Stop admitting writes into the plan's ranges, durably.
 
-        The fence sequence is the WAL head observed on the worker
-        thread *after* the fence flag is set, so every record at or
+        The fence sequence is the WAL head observed between batches
+        *after* the fence flag is set, so every record at or
         below it predates the fence and every later client write into
         the ranges is rejected.  The fence file survives a crash —
         a restarted source stays fenced until commit or re-begin.

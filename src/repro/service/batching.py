@@ -16,8 +16,8 @@ Every request carries one column of pre-encoded ``uint64`` wire keys
 Ordering: batches dispatch strictly in arrival order and a batch only
 contains consecutive same-operation requests, so a client that awaits
 its insert response before sending a query always observes the insert.
-All filter access happens on one worker thread (the executor below is
-single-threaded), so the hosted filter needs no locks.
+All filter access happens on the event loop's thread, and a dispatch
+never spans an ``await``, so the hosted filter needs no locks.
 
 Error isolation: the dispatch function receives the batch still split
 per request and returns one result *or exception* per request, so one
@@ -121,7 +121,7 @@ def _fuse(key_lists, indices) -> np.ndarray:
 class FilterExecutor:
     """Applies one coalesced batch of requests to the hosted filter.
 
-    Runs on the batcher's worker thread.  Query and count batches fuse
+    Runs on the event loop's thread.  Query and count batches fuse
     across requests into a single ``query_many``/``count_many`` probe
     (read-only, so a shared failure cannot corrupt state).  Inserts and
     deletes apply per request — each request still rides its own bulk
@@ -163,16 +163,17 @@ class FilterExecutor:
         #: raise — cluster nodes install
         #: :meth:`repro.rebalance.migrator.RebalanceState.gate` so a
         #: request into a moved or fenced key range is rejected *before*
-        #: its WAL record exists.  Runs on the worker thread, same as
-        #: the apply, so the answer cannot race a fence or epoch install.
+        #: its WAL record exists.  Runs in the same call as the apply,
+        #: so the answer cannot race a fence or epoch install.
         self.gate = gate
         self.set_filter(filt)
 
     def set_filter(self, filt) -> None:
         """Install (or replace) the hosted filter.
 
-        Must run on the batcher's worker thread once the server is live
-        — replicas installing a replication snapshot do exactly that.
+        Must run through the batcher's :meth:`MicroBatcher.run` once the
+        server is live — replicas installing a replication snapshot do
+        exactly that.
         """
         self.filter = filt
         self.supports_deletion = (
@@ -292,9 +293,8 @@ class MicroBatcher:
     Parameters
     ----------
     apply:
-        ``apply(op, key_lists) -> list[result | Exception]``, executed
-        on the batcher's single worker thread (see
-        :class:`FilterExecutor`).
+        ``apply(op, key_lists) -> list[result | Exception]``, called
+        inline on the event loop's thread (see :class:`FilterExecutor`).
     max_batch:
         Key-count bound per dispatched batch; a batch closes as soon as
         it holds this many keys.
@@ -309,12 +309,11 @@ class MicroBatcher:
         the throughput benchmark compares against.
     metrics:
         Optional :class:`ServiceMetrics` receiving batch-size samples.
-    executor:
-        Inject a shared worker executor instead of the private
-        single-thread pool.  The chaos harness runs every simulated
-        node on ONE single-worker executor so cross-node thread
-        interleavings are deterministic; an injected executor is never
-        shut down by this batcher (its owner does that).
+    worker_thread:
+        Run ``apply`` and :meth:`run` on one private worker thread
+        instead of inline.  Only for a backend whose calls block on
+        sockets that this same event loop may serve (the cluster
+        router's fan-out): inline, such a call would deadlock the loop.
     """
 
     def __init__(
@@ -324,7 +323,7 @@ class MicroBatcher:
         max_batch: int = 512,
         max_delay_us: float = 200.0,
         metrics: ServiceMetrics | None = None,
-        executor: ThreadPoolExecutor | None = None,
+        worker_thread: bool = False,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -337,13 +336,10 @@ class MicroBatcher:
         self._queue: asyncio.Queue = asyncio.Queue()
         self._carry: _Pending | None = None
         self._task: asyncio.Task | None = None
-        self._owns_executor = executor is None
         self._executor = (
-            executor
-            if executor is not None
-            else ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-filter"
-            )
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-filter")
+            if worker_thread
+            else None
         )
         self._stopping = False
 
@@ -355,28 +351,23 @@ class MicroBatcher:
             self._task = asyncio.get_running_loop().create_task(self._drain())
 
     async def stop(self) -> None:
-        """Drain everything queued, then stop the worker."""
+        """Drain everything queued, then stop the worker thread, if any."""
         if self._task is None:
             return
         self._stopping = True
         await self._queue.put(_Stop())
         await self._task
         self._task = None
-        if self._owns_executor:
+        if self._executor is not None:
             self._executor.shutdown(wait=True)
 
     def abort(self) -> None:
-        """Crash-stop: cancel the drain task and drop queued work.
-
-        A shared (injected) executor is left running — other batchers
-        may still depend on it; only a privately owned worker pool is
-        torn down.
-        """
+        """Crash-stop: cancel the drain task and drop queued work."""
         self._stopping = True
         if self._task is not None:
             self._task.cancel()
             self._task = None
-        if self._owns_executor:
+        if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
 
     # -- submission -----------------------------------------------------
@@ -417,8 +408,14 @@ class MicroBatcher:
         return await future
 
     async def run(self, fn: Callable[[], object]) -> object:
-        """Run ``fn`` on the worker thread, serialised after in-flight
-        batches — how STATS/SNAPSHOT reads avoid racing mutations."""
+        """Run ``fn`` where batches run, never inside one — how
+        STATS/SNAPSHOT reads avoid racing mutations.
+
+        Inline, ``fn`` runs now: no batch is mid-apply at any ``await``,
+        and ``fn`` sees every write already answered.
+        """
+        if self._executor is None:
+            return fn()
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executor, fn)
 
@@ -543,9 +540,7 @@ class MicroBatcher:
         key_lists = [pending.keys for pending in batch]
         try:
             with span("filter_execute", self.metrics):
-                results = await loop.run_in_executor(
-                    self._executor, self._apply, op, key_lists
-                )
+                results = await self.run(lambda: self._apply(op, key_lists))
         except BaseException as exc:  # noqa: BLE001 - forwarded per future
             results = [exc for _ in batch]
         for pending, result in zip(batch, results):

@@ -5,7 +5,7 @@ Architecture::
     client conns ──frames──▶ per-connection handler
                                   │  (parse, time, frame responses)
                                   ▼
-                            MicroBatcher queue ──▶ single worker thread
+                            MicroBatcher queue ──▶ inline on the loop
                                   │                  bulk_insert/bulk_query
                                   ▼                  on the hosted filter
                             coalesced batches
@@ -13,8 +13,10 @@ Architecture::
 Every connection handler is an asyncio task; key-carrying requests all
 funnel through one :class:`~repro.service.batching.MicroBatcher`, so
 concurrency across connections is precisely what feeds the coalescer.
-Control ops (PING/STATS/SNAPSHOT) bypass the batch queue but reads of
-filter state still serialise onto the worker thread.
+Control ops (PING/STATS/SNAPSHOT) bypass the batch queue; reads of
+filter state go through ``batcher.run``, between batches.  Everything
+runs on the event loop's thread; only a backend that declares
+``needs_worker_thread`` (the cluster router) gets one worker thread.
 
 Shutdown is graceful by design: ``stop()`` (wired to SIGTERM/SIGINT by
 :func:`serve`) stops accepting, lets in-flight requests drain through
@@ -144,10 +146,10 @@ class FilterServer:
         passes a :class:`~repro.chaos.network.SimNetwork` so the server
         accepts in-memory simulated connections instead of binding a
         socket.
-    executor:
-        Shared worker executor for the batcher (see
-        :class:`~repro.service.batching.MicroBatcher`); ``None`` lets
-        the batcher own a private single worker thread.
+
+    A backend class with a true ``needs_worker_thread`` attribute (the
+    cluster router) is driven from one worker thread; every other
+    filter runs inline on the event loop's thread.
     """
 
     def __init__(
@@ -170,7 +172,6 @@ class FilterServer:
         admission: AdmissionController | None = None,
         deadline_default_s: float | None = None,
         transport: Transport | None = None,
-        executor=None,
     ) -> None:
         if replication is not None and wal is None:
             raise ConfigurationError("replication requires a write-ahead log")
@@ -204,7 +205,7 @@ class FilterServer:
             max_batch=max_batch,
             max_delay_us=max_delay_us,
             metrics=self.metrics,
-            executor=executor,
+            worker_thread=getattr(type(filt), "needs_worker_thread", False),
         )
         if snapshot_manager is not None:
             self.snapshots = snapshot_manager
@@ -280,7 +281,7 @@ class FilterServer:
         return payload
 
     def _stats_report(self) -> dict:
-        """The STATS document (runs on the batcher's worker thread)."""
+        """The STATS document (runs through ``batcher.run``)."""
         report = self.metrics.snapshot(self.filter)
         if self.wal is not None:
             cluster: dict = {"role": self.role, "wal": self.wal.describe()}
@@ -541,9 +542,8 @@ class FilterServer:
         """RING_EPOCH and the MIGRATE_* verbs (coordinator-driven).
 
         Every state-touching call runs through ``batcher.run`` so it
-        serialises with client mutations on the single worker thread —
-        fences, epoch installs, and excision can therefore never split
-        a coalesced batch.
+        serialises with client mutations — fences, epoch installs, and
+        excision can therefore never split a coalesced batch.
         """
         def _json_frame(report: dict) -> bytes:
             return encode_frame(Opcode.JSON, json.dumps(report).encode("utf-8"))
@@ -701,7 +701,7 @@ class FilterServer:
         return encode_frame(Opcode.ACK, encode_ack_body(seq))
 
     def _apply_replicated(self, record: WalRecord) -> int:
-        """Apply one replicated record (on the batcher's worker thread).
+        """Apply one replicated record (through ``batcher.run``).
 
         Records at or below the local WAL head are duplicates from a
         reconnect replay and are acknowledged without re-applying, which

@@ -134,10 +134,10 @@ def load_snapshot(path: str | Path):
 class SnapshotManager:
     """Periodic + on-demand snapshots of the served filter.
 
-    The actual dump must not race the batcher's worker thread mutating
-    the filter, so :meth:`save` accepts a ``runner`` — the server passes
-    :meth:`~repro.service.batching.MicroBatcher.run`, which serialises
-    the dump after in-flight batches on the same worker thread.
+    The actual dump must not race a batch mutating the filter, so
+    :meth:`save` accepts a ``runner`` — the server passes
+    :meth:`~repro.service.batching.MicroBatcher.run`, which runs the
+    dump between batches, where batches run.
     """
 
     def __init__(

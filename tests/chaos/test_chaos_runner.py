@@ -124,6 +124,20 @@ class TestCli:
         assert report["ok"] is True
         assert report["seed"] == 1
 
+    def test_json_sweeps_print_identical_stdout(self, capsys):
+        from repro.cli import main
+
+        argv = ["chaos", "run", "--sweep", "3", "--steps", "20", "--json"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out == runs[1].out
+        assert len(runs[0].out.splitlines()) == 3
+        # The timing line differs run to run, so it goes to stderr.
+        assert "sweep: 3/3 seeds ok" in runs[0].err
+        assert "sweep:" not in runs[0].out
+
     def test_failing_seed_writes_minimal_schedule_artifact(
         self, tmp_path, capsys, monkeypatch
     ):

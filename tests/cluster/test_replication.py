@@ -224,6 +224,53 @@ class TestStreaming:
 
         asyncio.run(main())
 
+    def test_compaction_keeps_records_a_connected_replica_needs(self, tmp_path):
+        async def main():
+            replica_rec = recover_node(
+                build, wal_dir=tmp_path / "wal-r",
+                snapshot_path=tmp_path / "r.snap",
+            )
+            replica = build_node_server(
+                replica_rec, read_only=True, snapshot_path=tmp_path / "r.snap"
+            )
+            await replica.start()
+            primary = build_node_server(
+                recover_node(
+                    build, wal_dir=tmp_path / "wal-p",
+                    snapshot_path=tmp_path / "p.snap",
+                ),
+                replicas=[("127.0.0.1", replica.port)],
+                ack_mode="quorum",
+                snapshot_path=tmp_path / "p.snap",
+            )
+            # Small segments so compaction would drop record s.
+            primary.wal.segment_bytes = 64
+            await primary.start()
+            async with AsyncFilterClient(port=primary.port) as client:
+                for i in range(6):
+                    await client.insert(b"acked-%d" % i)
+            link = primary.replication.links[0]
+            s = primary.wal.last_seq + 1
+            assert link.connected and link.acked_seq == s - 1
+            # Record s is logged and applied, and a snapshot at s taken,
+            # before the link's stream task runs again.
+            (seq,) = primary.executor.apply(
+                Opcode.BULK64_INSERT, [wire_keys([b"in-flight"])]
+            )
+            assert seq == s
+            assert primary.snapshots.save_now()["wal_seq"] == s
+            for _ in range(500):
+                if replica.wal.last_seq >= s:
+                    break
+                await asyncio.sleep(0.01)
+            # The replica got REPLICATE s from the log, not a transfer.
+            assert link.snapshots_sent == 0
+            assert replica.wal.last_seq == s
+            await primary.stop()
+            await replica.stop()
+
+        asyncio.run(main())
+
     def test_stats_and_metrics_carry_cluster_families(self, tmp_path):
         async def main():
             primary, replica = await start_pair(tmp_path, metrics_port=0)

@@ -219,6 +219,25 @@ class TestMPCBFStats:
         assert fpr_mp < fpr_cbf
 
 
+class TestMPCBFHashCalls:
+    @pytest.mark.parametrize("g,k", [(1, 3), (2, 3), (3, 5)])
+    def test_one_mix_pass_per_key(self, g, k, monkeypatch):
+        from repro.hashing import families
+
+        f = make(g=g, k=k)
+        calls = []
+        real = families.splitmix64
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(families, "splitmix64", counting)
+        f.insert_encoded(12345)
+        assert len(calls) == k + g - 1
+        assert len(calls) == f.stats.insert.hash_calls
+
+
 class TestMPCBFWordCollision:
     def test_delete_validation_when_g_words_collide(self):
         """With g=2 both word hashes can land in one word; deleting a

@@ -120,10 +120,10 @@ class TestPartitionedHashFamily:
 
     def test_grouped_offsets_partition(self):
         fam = self._family(g=2, k=5)
-        flat = fam.offsets(77)
-        groups = fam.grouped_offsets(77)
-        assert [o for grp in groups for o in grp] == flat
-        assert [len(g_) for g_ in groups] == list(fam.k_per_word)
+        groups = fam.groups(77)
+        assert [word for word, _ in groups] == fam.word_indices(77)
+        assert [o for _, grp in groups for o in grp] == fam.offsets(77)
+        assert [len(grp) for _, grp in groups] == list(fam.k_per_word)
 
     def test_bulk_matches_scalar(self):
         fam = self._family(g=3, k=7, num_words=1024, offset_range=53)

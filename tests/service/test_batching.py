@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
+from repro.cluster.router import HashRing, NodeAddress, RouterBackend, ShardGroup
 from repro.errors import CounterUnderflowError, UnsupportedOperationError
 from repro.filters.bloom import BloomFilter
 from repro.filters.cbf import CountingBloomFilter
 from repro.service.batching import FilterExecutor, MicroBatcher
-from repro.service.client import wire_keys
+from repro.service.client import AsyncFilterClient, wire_keys
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import Opcode
+from repro.service.server import FilterServer
 
 
 def run(coro):
@@ -258,3 +261,95 @@ class TestLifecycle:
             MicroBatcher(RecordingApply(), max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(RecordingApply(), max_delay_us=-1)
+
+
+class ThreadRecordingCBF(CountingBloomFilter):
+    """A counting filter noting the thread of every bulk call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.threads: list[int] = []
+
+    def insert_many(self, keys):
+        self.threads.append(threading.get_ident())
+        return super().insert_many(keys)
+
+    def query_many(self, keys):
+        self.threads.append(threading.get_ident())
+        return super().query_many(keys)
+
+
+class FakeNodeClient:
+    """Shard-node client stand-in for a router: records its thread."""
+
+    def __init__(self, threads: list[int]):
+        self.threads = threads
+
+    def send_column(self, opcode, keys):
+        self.threads.append(threading.get_ident())
+        if opcode == Opcode.BULK64_QUERY:
+            return np.ones(len(keys), dtype=bool)
+        return None
+
+    def close(self):
+        pass
+
+
+async def drive(server: FilterServer) -> int:
+    """One insert and one query through the wire, then ``run``'s thread."""
+    await server.start()
+    try:
+        async with AsyncFilterClient(port=server.port) as client:
+            await client.insert_many([b"a", b"b"])
+            assert all(await client.query_many([b"a", b"b"]))
+        return await server.batcher.run(threading.get_ident)
+    finally:
+        await server.stop()
+
+
+class TestWhereTheFilterRuns:
+    def test_local_filter_runs_on_the_event_loop_thread(self):
+        filt = ThreadRecordingCBF(8192, 3, seed=1)
+
+        async def main():
+            ran_on = await drive(FilterServer(filt))
+            return threading.get_ident(), ran_on
+
+        loop_thread, ran_on = run(main())
+        assert len(filt.threads) == 2
+        assert set(filt.threads) == {loop_thread}
+        assert ran_on == loop_thread
+
+    def test_router_backend_runs_on_one_worker_thread(self):
+        threads: list[int] = []
+        ring = HashRing([ShardGroup("a", NodeAddress("127.0.0.1", 1))])
+        backend = RouterBackend(
+            ring, client_factory=lambda node, timeout_s: FakeNodeClient(threads)
+        )
+
+        async def main():
+            ran_on = await drive(FilterServer(backend))
+            return threading.get_ident(), ran_on
+
+        loop_thread, ran_on = run(main())
+        assert len(threads) == 2
+        assert set(threads) == {ran_on}
+        assert ran_on != loop_thread
+
+    def test_run_after_an_answered_write_sees_it(self):
+        filt = CountingBloomFilter(8192, 3, seed=1)
+        probe = wire_keys([b"written"])
+
+        async def main():
+            server = FilterServer(filt)
+            await server.start()
+            try:
+                async with AsyncFilterClient(port=server.port) as client:
+                    await client.insert_many([b"written"])
+                    return await server.batcher.run(
+                        lambda: int(filt.count_many(probe)[0])
+                    )
+            finally:
+                await server.stop()
+
+        assert run(main()) == 1
