@@ -161,9 +161,12 @@ def migration_throughput(scale, tmp_base: Path) -> list[dict]:
         await asyncio.to_thread(coord.bootstrap, [group_a], vnodes=vnodes)
 
         rows = []
-        with ClusterClient(
+        # The client runs its own event loop, so every call (close too)
+        # goes to a worker thread, off this loop.
+        client = ClusterClient(
             [group_a], vnodes=vnodes, retries=12, backoff_s=0.02
-        ) as client:
+        )
+        try:
             ops, elapsed = await asyncio.to_thread(
                 _pump_keys, client, "before", n_batches, batch
             )
@@ -195,11 +198,13 @@ def migration_throughput(scale, tmp_base: Path) -> list[dict]:
             )
             await join
 
-            client.refresh_topology()
+            await asyncio.to_thread(client.refresh_topology)
             ops, elapsed = await asyncio.to_thread(
                 _pump_keys, client, "after", n_batches, batch
             )
             rows.append({"phase": "after", "ops": ops, "elapsed_s": elapsed})
+        finally:
+            await asyncio.to_thread(client.close)
 
         coord.close()
         await node_b.stop()

@@ -13,10 +13,10 @@ returns immediately.  Every ``asyncio.sleep`` / ``wait_for`` /
 virtual time automatically — a 60-second retry/backoff/quorum-timeout
 schedule executes in milliseconds of wall clock.
 
-Worker threads are the one thing that cannot be virtualised.  Filter
-kernels run inline on the loop's thread, so the simulated cluster needs
-none, but asyncio itself may still hand work to an executor via
-``run_in_executor``.  The loop counts in-flight executor work and,
+Worker threads are the one thing that cannot be virtualised.  The
+served stack starts none (filter kernels and the cluster router both
+run on the loop's thread), but asyncio itself may still hand work to
+an executor via ``run_in_executor``.  The loop counts in-flight executor work and,
 while any is pending, polls the real selector in short slices *without
 advancing the clock* — so a timer can never fire "during" a
 computation that would have finished first, which keeps cross-thread

@@ -318,11 +318,12 @@ def _cmd_cluster_route(args: argparse.Namespace) -> int:
         [node for group in groups for node in group.nodes],
         interval_s=args.health_interval,
     )
-    health.start()
     backend = RouterBackend(ring, health=health, timeout_s=args.timeout)
-    try:
-        asyncio.run(
-            serve(
+
+    async def route() -> None:
+        health.start()
+        try:
+            await serve(
                 backend,
                 host=args.host,
                 port=args.port,
@@ -330,10 +331,11 @@ def _cmd_cluster_route(args: argparse.Namespace) -> int:
                 max_delay_us=args.max_delay_us,
                 metrics_port=args.metrics_port,
             )
-        )
-    finally:
-        health.stop()
-        backend.close()
+        finally:
+            await health.stop()
+            await backend.close()
+
+    asyncio.run(route())
     return 0
 
 

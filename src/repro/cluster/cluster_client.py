@@ -6,6 +6,8 @@ can talk straight to the shard groups — one network hop instead of two.
 The router daemon remains the right front door for clients that should
 not carry topology (or that benefit from its server-side coalescing);
 both route identically because they share the ring implementation.
+It drives the router's own async fan-out on a private event loop, so
+call it from a thread with no running loop (``asyncio.to_thread``).
 
 Topology is cached per client: the constructor seeds it (spec strings
 or a fetched epoch) and no call thereafter touches the ring until the
@@ -27,7 +29,10 @@ through the router daemon, or by a plain client of either.
 
 from __future__ import annotations
 
+import asyncio
 import time
+
+import numpy as np
 
 from repro.cluster.router import (
     HashRing,
@@ -36,11 +41,9 @@ from repro.cluster.router import (
     ShardGroup,
     parse_group,
 )
-import numpy as np
-
 from repro.errors import ClusterError, OverloadedError
 from repro.service.client import _jittered_delay, wire_keys
-from repro.service.protocol import ErrorCode, RemoteError
+from repro.service.protocol import ErrorCode, Opcode, RemoteError
 
 __all__ = ["ClusterClient"]
 
@@ -84,14 +87,18 @@ class ClusterClient:
             for group in groups
         ]
         ring = HashRing(parsed, vnodes=vnodes)
+        self._loop = asyncio.new_event_loop()
         health = None
         if check_health:
             nodes = [node for group in parsed for node in group.nodes]
             health = HealthChecker(nodes)
-            health.check_now()
+            self._run(health.check_now())
         self.retries = retries
         self.backoff_s = backoff_s
         self._backend = RouterBackend(ring, health=health, timeout_s=timeout_s)
+
+    def _run(self, awaitable):
+        return self._loop.run_until_complete(awaitable)
 
     @property
     def ring(self) -> HashRing:
@@ -104,10 +111,11 @@ class ClusterClient:
         knows a topology change just happened (e.g. the CLI after a
         ``repro cluster join``).
         """
-        return self._backend.refresh_epoch()
+        return self._run(self._backend.refresh_epoch())
 
     def _with_retry(self, operation):
-        """Run ``operation`` through the topology-race retry loop.
+        """Run ``operation()``, a coroutine, through the topology-race
+        retry loop.
 
         ``MOVED`` means the cached ring is stale; ``WRONG_EPOCH`` means
         the key's range is fenced *right now* and will reopen on the
@@ -138,7 +146,7 @@ class ClusterClient:
             hint = 0.0
             refresh = True
             try:
-                return operation()
+                return self._run(operation())
             except OverloadedError as exc:
                 # Raised locally by the router's per-group breaker; no
                 # packet was sent, the hint is the remaining cooldown.
@@ -177,30 +185,37 @@ class ClusterClient:
     def query(self, key) -> bool:
         return bool(self.query_many([key])[0])
 
+    async def _apply(self, op: Opcode, column: np.ndarray):
+        (result,) = await self._backend.apply(op, [column])
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
     def insert_many(self, keys) -> None:
         column = wire_keys(keys)
-        self._with_retry(lambda: self._backend.insert_many(column))
+        self._with_retry(lambda: self._apply(Opcode.BULK64_INSERT, column))
 
     def delete_many(self, keys) -> None:
         column = wire_keys(keys)
-        self._with_retry(lambda: self._backend.delete_many(column))
+        self._with_retry(lambda: self._apply(Opcode.BULK64_DELETE, column))
 
     def query_many(self, keys) -> np.ndarray:
         column = wire_keys(keys)
-        return self._with_retry(lambda: self._backend.query_many(column))
+        return self._with_retry(lambda: self._apply(Opcode.BULK64_QUERY, column))
 
     def status(self) -> dict:
         """Topology, health, and per-node replication state."""
         return {
             "router": self._backend.describe(),
-            "nodes": self._backend.node_status(),
+            "nodes": self._run(self._backend.node_status()),
         }
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        if self._backend.health is not None:
-            self._backend.health.stop()
-        self._backend.close()
+        if self._loop.is_closed():
+            return
+        self._run(self._backend.close())
+        self._loop.close()
 
     def __enter__(self) -> "ClusterClient":
         return self

@@ -12,29 +12,28 @@ plus its replicas, replicating via :mod:`repro.cluster.replication`.
 Groups own ranges of a :class:`HashRing`: each group hashes to
 ``vnodes`` pseudo-random points on a 64-bit circle (BLAKE2b of
 ``"name#i"``), and a key belongs to the group owning the first point
-after the key's own position: :func:`hash_key`, the BLAKE2b hash of
-the key's u64 wire form (see :mod:`repro.service.protocol`).  Every
-surface — router daemon, :class:`~repro.cluster.cluster_client.
-ClusterClient`, node gates, migration streams — places a key by that
-one rule.  Virtual nodes smooth the load (with one
-point per group, a 2-group ring can split 90/10); adding a group moves
-only ``~1/groups`` of the keys.
+after the key's own position: :func:`ring_positions` of its u64 wire
+form (SplitMix64 of the key XOR :data:`RING_SEED`; :func:`hash_key` is
+the one-key form).  Every surface — router daemon,
+:class:`~repro.cluster.cluster_client.ClusterClient`, node gates,
+migration streams — places a key by that one rule.  Virtual nodes
+smooth the load (with one point per group, a 2-group ring can split
+90/10); adding a group moves only ``~1/groups`` of the keys.
 
-The router daemon reuses the serving stack wholesale: a
-:class:`RouterBackend` implements the filter interface
-(``insert_many`` / ``query_many`` / ``delete_many``), so a plain
-:class:`~repro.service.server.FilterServer` hosts it and the
-micro-batching coalescer works unchanged — concurrent client requests
-coalesce into bulk batches *before* they fan out, amortising the
-network round-trip per shard group exactly like the batcher amortises
-interpreter overhead per filter call.
+A plain :class:`~repro.service.server.FilterServer` hosts the router:
+the async :meth:`RouterBackend.apply` partitions each coalesced batch
+once and sends one column per shard group, to all groups concurrently,
+on the server's event loop — paying the network round-trip per group
+once per batch, as the batcher pays the interpreter overhead once per
+filter call.
 
-Failover: a :class:`HealthChecker` polls every node's ``/healthz``.
-Reads route to the group's primary while it is healthy; on a primary
-timeout or health-check failure they fall back to a replica (bounded
-staleness: replication lag).  Writes have nowhere else to go — a dead
-primary fails them with :class:`~repro.errors.ClusterError` until it
-returns, preserving single-writer ordering per group.
+Failover: a :class:`HealthChecker` task polls every node's
+``/healthz``.  Reads route to the group's primary while it is healthy;
+on a primary timeout or health-check failure they fall back to a
+replica (bounded staleness: replication lag).  Writes have nowhere else
+to go — a dead primary fails them with
+:class:`~repro.errors.ClusterError` until it returns, preserving
+single-writer ordering per group.
 
 Overload: an ``OVERLOADED`` answer from a primary sheds *reads* to the
 group's replicas the same way a transport failure does (counted in
@@ -49,28 +48,29 @@ cooldown and one probing write decides whether the group is back.
 
 from __future__ import annotations
 
+import asyncio
 import bisect
+import contextlib
 import hashlib
-import json
-import struct
-import threading
-import urllib.request
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ClusterError, ConfigurationError
+from repro.errors import ClusterError, ConfigurationError, UnsupportedOperationError
+from repro.hashing.mixers import splitmix64, splitmix64_array
 from repro.memmodel.accounting import AccessStats, OpKind
 from repro.observability.logging import get_logger
 from repro.overload import CircuitBreaker
-from repro.service.client import FilterClient
+from repro.service.client import AsyncFilterClient
 from repro.service.protocol import ErrorCode, Opcode, RemoteError
 
 __all__ = [
     "NodeAddress",
     "ShardGroup",
     "HashRing",
+    "RING_SEED",
+    "ring_positions",
     "hash_key",
     "HealthChecker",
     "RouterBackend",
@@ -141,25 +141,38 @@ def parse_group(spec: str) -> ShardGroup:
     return ShardGroup(name=name, primary=nodes[0], replicas=tuple(nodes[1:]))
 
 
-_U64 = struct.Struct("<Q")
-
-
 def _hash64(data: bytes) -> int:
-    return _U64.unpack(hashlib.blake2b(data, digest_size=8).digest())[0]
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+#: The ring's hash seed ("RINGSEED" in ASCII).  A filter derives its
+#: seeds with :func:`~repro.hashing.mixers.derive_seeds`; a ring that
+#: reused one would make a key's owner a function of that filter's own
+#: hash of the key, so this constant is deliberately unrelated.
+RING_SEED = 0x52494E4753454544
+
+
+def ring_positions(keys: np.ndarray) -> np.ndarray:
+    """The 64-bit ring positions of a wire-key column:
+    ``splitmix64(key ^ RING_SEED)``, one vectorised pass."""
+    return splitmix64_array(
+        np.asarray(keys, dtype=np.uint64) ^ np.uint64(RING_SEED)
+    )
 
 
 def hash_key(key: int) -> int:
-    """A wire key's 64-bit ring position: BLAKE2b of its 8-byte
-    little-endian packing."""
-    return _hash64(_U64.pack(key))
+    """One wire key's ring position: :func:`ring_positions` for one key."""
+    return splitmix64(key ^ RING_SEED)
 
 
 class HashRing:
     """Consistent-hash ring with virtual nodes.
 
-    ``lookup`` is O(log(groups * vnodes)) via bisect on the sorted
-    point array.  The ring is immutable after construction; topology
-    changes build a new ring (the router swaps it atomically).
+    Vnode points are BLAKE2b of ``"name#i"``, sorted once at
+    construction.  :meth:`owner_indices` places a whole position column
+    with one ``np.searchsorted``; :meth:`owner_at` is the per-position
+    ``bisect`` twin.  The ring is immutable after construction;
+    topology changes build a new ring (the router swaps it atomically).
     """
 
     def __init__(self, groups: list[ShardGroup], *, vnodes: int = 64) -> None:
@@ -176,15 +189,20 @@ class HashRing:
             seen.add(group.name)
         self.groups = {group.name: group for group in groups}
         self.vnodes = vnodes
-        points: list[tuple[int, str]] = []
-        for group in groups:
-            for index in range(vnodes):
-                points.append(
-                    (_hash64(f"{group.name}#{index}".encode()), group.name)
-                )
-        points.sort()
+        #: Group names in construction order; owner indices index this.
+        self.names = [group.name for group in groups]
+        points = sorted(
+            (_hash64(f"{name}#{vnode}".encode()), index)
+            for index, name in enumerate(self.names)
+            for vnode in range(vnodes)
+        )
         self._points = [point for point, _ in points]
-        self._owners = [owner for _, owner in points]
+        owners = [owner for _, owner in points]
+        self._owners = [self.names[owner] for owner in owners]
+        self._point_array = np.array(self._points, dtype=np.uint64)
+        # One extra slot: a position past the last point wraps to the
+        # first point's owner, so the lookup needs no branch.
+        self._owner_ids = np.array(owners + owners[:1], dtype=np.intp)
 
     def lookup(self, key: int) -> ShardGroup:
         """The group owning wire key ``key`` (at :func:`hash_key`)."""
@@ -194,20 +212,30 @@ class HashRing:
         """Name of the group owning ring ``position`` (a 64-bit hash).
 
         The owner is the group of the first ring point *strictly after*
-        the position (``lookup`` uses ``bisect_right``), so each vnode
-        point owns the arc ``[previous_point, point)`` ending at it.
+        the position (``bisect_right``), so each vnode point owns the
+        arc ``[previous_point, point)`` ending at it.
         """
-        index = bisect.bisect_right(self._points, position)
-        if index == len(self._points):
-            index = 0  # wrap: the first point owns the top arc
-        return self._owners[index]
+        return self._owners[self._point_index(position)]
 
     def vnode_at(self, position: int) -> int:
         """The ring point (vnode position) owning ``position``."""
+        return self._points[self._point_index(position)]
+
+    def _point_index(self, position: int) -> int:
         index = bisect.bisect_right(self._points, position)
-        if index == len(self._points):
-            index = 0
-        return self._points[index]
+        return 0 if index == len(self._points) else index  # wrap
+
+    def owner_indices(self, positions: np.ndarray) -> np.ndarray:
+        """:meth:`owner_at` over a position column, as indices into
+        :attr:`names` (``side="right"`` is ``bisect_right``)."""
+        return self._owner_ids[
+            np.searchsorted(self._point_array, positions, side="right")
+        ]
+
+    def owned_by(self, name: str, positions: np.ndarray) -> np.ndarray:
+        """Mask of the positions group ``name`` owns."""
+        owner = self.names.index(name) if name in self.groups else -1
+        return self.owner_indices(positions) == owner
 
     def points(self) -> list[int]:
         """All vnode positions, sorted ascending."""
@@ -215,12 +243,10 @@ class HashRing:
 
     def partition(self, keys: np.ndarray) -> dict[str, np.ndarray]:
         """Split a wire-key column into per-group arrays of key *indices*."""
-        parts: dict[str, list[int]] = {}
-        for index, key in enumerate(keys.tolist()):
-            parts.setdefault(self.lookup(key).name, []).append(index)
+        owners = self.owner_indices(ring_positions(keys))
         return {
-            name: np.asarray(indices, dtype=np.intp)
-            for name, indices in parts.items()
+            self.names[owner]: np.flatnonzero(owners == owner)
+            for owner in np.unique(owners).tolist()
         }
 
     def vnode_counts(self) -> dict[str, int]:
@@ -246,11 +272,10 @@ class HashRing:
 
 
 class HealthChecker:
-    """Background poller of every node's ``/healthz`` endpoint.
+    """Polls every node's ``/healthz`` from a task on the event loop.
 
-    Runs in a daemon thread (the router backend is already
-    thread-based); nodes without a health port are assumed healthy and
-    failures surface through connection errors instead.
+    Nodes without a health port are assumed healthy; their failures
+    surface through connection errors instead.
     """
 
     def __init__(
@@ -259,21 +284,12 @@ class HealthChecker:
         *,
         interval_s: float = 1.0,
         timeout_s: float = 1.0,
-        probe=None,
     ) -> None:
         self.interval_s = interval_s
         self.timeout_s = timeout_s
-        if probe is not None:
-            # Injectable probe seam: ``probe(url) -> bool``.  The chaos
-            # harness answers from simulated node state instead of HTTP.
-            self._probe = probe
-        self._urls = {
-            node.address: node.health_url()
-            for node in nodes
-        }
-        self._healthy = {address: True for address in self._urls}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self._probed = [node for node in nodes if node.health_port is not None]
+        self._healthy = {node.address: True for node in nodes}
+        self._task: asyncio.Task | None = None
 
     def is_healthy(self, node: NodeAddress) -> bool:
         return self._healthy.get(node.address, True)
@@ -281,106 +297,87 @@ class HealthChecker:
     def status(self) -> dict[str, bool]:
         return dict(self._healthy)
 
-    def check_now(self) -> None:
-        """One synchronous poll of every node (tests call this)."""
-        for address, url in self._urls.items():
-            if url is None:
-                continue
-            healthy = self._probe(url)
-            if healthy != self._healthy[address]:
+    async def check_now(self) -> None:
+        """Poll every node with a health port once, concurrently."""
+        results = await asyncio.gather(*map(self._probe, self._probed))
+        for node, healthy in zip(self._probed, results):
+            if healthy != self._healthy[node.address]:
                 logger.info(
                     "node_health_changed",
-                    extra={"node": address, "healthy": healthy},
+                    extra={"node": node.address, "healthy": healthy},
                 )
-            self._healthy[address] = healthy
+            self._healthy[node.address] = healthy
 
-    def _probe(self, url: str) -> bool:
+    async def _probe(self, node: NodeAddress) -> bool:
+        """One ``GET /healthz``: True on a 200 answer within the timeout."""
+
+        async def status_line() -> bytes:
+            reader, writer = await asyncio.open_connection(node.host, node.health_port)
+            try:
+                writer.write(b"GET /healthz HTTP/1.0\r\n\r\n")
+                return await reader.readline()
+            finally:
+                writer.close()
+
         try:
-            with urllib.request.urlopen(url, timeout=self.timeout_s) as resp:
-                return 200 <= resp.status < 300
-        except OSError:
+            line = await asyncio.wait_for(status_line(), self.timeout_s)
+        except (OSError, asyncio.TimeoutError):
             return False
+        return line.split(b" ")[1:2] == [b"200"]
 
     def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-health", daemon=True
-        )
-        self._thread.start()
+        """Start polling on the running event loop."""
+        if self._task is None:
+            self._task = asyncio.get_running_loop().create_task(self._run())
 
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.interval_s + self.timeout_s + 1.0)
-            self._thread = None
+    async def stop(self) -> None:
+        if self._task is not None:
+            self._task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._task
+            self._task = None
 
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            self.check_now()
-            self._stop.wait(self.interval_s)
+    async def _run(self) -> None:
+        while True:
+            await self.check_now()
+            await asyncio.sleep(self.interval_s)
 
 
-def _default_client_factory(
-    node: NodeAddress, *, timeout_s: float
-) -> FilterClient:
-    return FilterClient(
-        node.host,
-        node.port,
-        timeout_s=timeout_s,
-        retries=2,
-        backoff_s=0.02,
-    )
+class _NodeClient(AsyncFilterClient):
+    """The router's pooled connection to one shard node: exchanges take
+    turns (a fan-out and an epoch refresh may share it), and one that
+    outlasts ``timeout_s`` drops the connection."""
+
+    def __init__(self, node: NodeAddress, *, timeout_s: float) -> None:
+        super().__init__(node.host, node.port, retries=2, backoff_s=0.02)
+        self.timeout_s = timeout_s
+        self._turn = asyncio.Lock()
+
+    async def _exchange(self, request):
+        async with self._turn:
+            try:
+                return await asyncio.wait_for(super()._exchange(request), self.timeout_s)
+            except asyncio.TimeoutError:
+                await self.close()
+                raise TimeoutError(f"no reply in {self.timeout_s}s") from None
 
 
-@dataclass
-class _GroupClients:
-    """Cached connections to one shard group's nodes."""
-
-    group: ShardGroup
-    clients: dict[str, FilterClient] = field(default_factory=dict)
-    #: ``factory(node, timeout_s=...) -> FilterClient`` — the router's
-    #: client-construction seam (simulations inject their transport).
-    factory: object = _default_client_factory
-
-    def client(self, node: NodeAddress, *, timeout_s: float) -> FilterClient:
-        client = self.clients.get(node.address)
-        if client is None:
-            client = self.factory(node, timeout_s=timeout_s)
-            self.clients[node.address] = client
-        return client
-
-    def drop(self, node: NodeAddress) -> None:
-        client = self.clients.pop(node.address, None)
-        if client is not None:
-            client.close()
-
-    def close(self) -> None:
-        for client in self.clients.values():
-            client.close()
-        self.clients.clear()
+#: Routed opcode → the per-key counter and access-stats kind.
+_ROUTED = {
+    Opcode.BULK64_INSERT: ("insert", OpKind.INSERT),
+    Opcode.BULK64_DELETE: ("delete", OpKind.DELETE),
+    Opcode.BULK64_QUERY: ("query", OpKind.QUERY),
+}
 
 
 class RouterBackend:
-    """Filter-shaped fan-out over a hash ring of shard groups.
+    """Async fan-out of coalesced batches over a ring of shard groups.
 
-    Implements exactly the interface
-    :class:`~repro.service.batching.FilterExecutor` drives
-    (``insert_many`` / ``query_many`` / ``delete_many`` over wire-key
-    columns, which it forwards as they arrived), so a stock
-    :class:`~repro.service.server.FilterServer` can host it: client
-    requests coalesce in the server's micro-batcher, then each bulk
-    call here partitions the batch by ring position and plays one
-    request per shard group.  All calls run on the batcher's single
-    worker thread, so the connection cache needs no locks.
+    A stock :class:`~repro.service.server.FilterServer` hands every
+    coalesced batch to :meth:`apply`.  Connections are pooled per node
+    address, so nodes that survive an epoch change keep theirs.
     """
 
-    #: Fan-out calls block on the shard nodes' sockets, so the hosting
-    #: server runs them on a worker thread: inline, a loop that also
-    #: serves those nodes would wait on itself.
-    needs_worker_thread = True
-    supports_deletion = True
     #: The router holds no filter memory of its own.
     total_bits = 0
 
@@ -399,13 +396,9 @@ class RouterBackend:
         self.timeout_s = timeout_s
         self.breaker_failures = breaker_failures
         self.breaker_cooldown_s = breaker_cooldown_s
-        #: ``factory(node, timeout_s=...) -> FilterClient``; ``None``
+        #: ``factory(node, timeout_s=...) -> AsyncFilterClient``; ``None``
         #: builds real TCP clients (the production path).
-        self.client_factory = (
-            client_factory
-            if client_factory is not None
-            else _default_client_factory
-        )
+        self.client_factory = client_factory or _NodeClient
         self.name = f"router[{len(ring.groups)} groups]"
         #: Ring lookups cost one hash evaluation per key; account them
         #: in the same AccessStats currency as a real filter.
@@ -420,10 +413,7 @@ class RouterBackend:
         #: Installed :class:`~repro.rebalance.epochs.RingEpoch`, once a
         #: coordinator has pushed (or a MOVED redirect fetched) one.
         self._epoch = None
-        self._groups = {
-            name: _GroupClients(group=group, factory=self.client_factory)
-            for name, group in ring.groups.items()
-        }
+        self._clients: dict[str, AsyncFilterClient] = {}
         #: Per-group write-path breakers (reads fail over instead).
         self._breakers = {
             name: self._new_breaker() for name in ring.groups
@@ -435,14 +425,21 @@ class RouterBackend:
             cooldown_s=self.breaker_cooldown_s,
         )
 
+    def _client(self, node: NodeAddress) -> AsyncFilterClient:
+        client = self._clients.get(node.address)
+        if client is None:
+            client = self.client_factory(node, timeout_s=self.timeout_s)
+            self._clients[node.address] = client
+        return client
+
     # -- ring epochs -----------------------------------------------------
     def install_epoch(self, group: str, blob: bytes) -> dict:
         """Adopt a ring epoch (``group`` is unused — routers own no arc).
 
-        Rebuilds the ring and connection cache, keeping live
-        connections for shard groups that survive the change.  Runs on
-        the hosting server's single worker thread like every other
-        call, so no request can observe a half-swapped ring.
+        Swaps the ring and the breaker table.  An :meth:`apply` already
+        in flight keeps routing by the ring it started with, and no
+        connection closes here: a drained node's pooled connection is
+        simply never picked again.
         """
         from repro.rebalance.epochs import RingEpoch
 
@@ -451,20 +448,6 @@ class RouterBackend:
             return self.describe()  # stale delivery
         self._epoch = epoch
         self.ring = epoch.ring()
-        previous = self._groups
-        self._groups = {}
-        for name, shard_group in self.ring.groups.items():
-            cached = previous.pop(name, None)
-            if cached is not None and cached.group == shard_group:
-                self._groups[name] = cached
-            else:
-                if cached is not None:
-                    cached.close()
-                self._groups[name] = _GroupClients(
-                    group=shard_group, factory=self.client_factory
-                )
-        for cached in previous.values():
-            cached.close()  # drained groups
         # Surviving groups keep their breaker history; new groups start
         # closed, and breakers of drained groups are dropped with them.
         self._breakers = {
@@ -485,121 +468,135 @@ class RouterBackend:
             return b""
         return self._epoch.to_bytes()
 
-    def refresh_epoch(self) -> bool:
+    async def refresh_epoch(self) -> bool:
         """Fetch the newest epoch any known node holds; adopt if newer.
 
         The MOVED recovery path: a redirect proves this router's ring
         is stale, and the node that rejected us (or any of its peers)
         already holds the epoch that explains where the key went.
         """
-        from repro.rebalance.epochs import RingEpoch
-
-        best: RingEpoch | None = None
-        best_blob = b""
-        for clients in list(self._groups.values()):
-            for node in clients.group.nodes:
-                try:
-                    _, blob = clients.client(
-                        node, timeout_s=self.timeout_s
-                    ).call(Opcode.RING_EPOCH)
-                except (ConnectionError, OSError, TimeoutError, RemoteError):
-                    continue
-                if not blob:
-                    continue
-                try:
-                    epoch = RingEpoch.from_bytes(blob)
-                except ConfigurationError:
-                    continue
-                if best is None or epoch.version > best.version:
-                    best, best_blob = epoch, blob
-        if best is None:
+        nodes = [node for group in self.ring.groups.values() for node in group.nodes]
+        fetched = await asyncio.gather(*(self._fetch_epoch(node) for node in nodes))
+        newest = max(
+            (epoch for epoch in fetched if epoch is not None),
+            key=lambda epoch: epoch.version,
+            default=None,
+        )
+        if newest is None or (
+            self._epoch is not None and newest.version <= self._epoch.version
+        ):
             return False
-        if self._epoch is not None and best.version <= self._epoch.version:
-            return False
-        self.install_epoch("", best_blob)
+        self.install_epoch("", newest.to_bytes())
         return True
 
-    # -- filter interface ------------------------------------------------
-    def insert_many(self, keys: np.ndarray) -> None:
-        self._mutate(Opcode.BULK64_INSERT, keys)
+    async def _fetch_epoch(self, node: NodeAddress):
+        from repro.rebalance.epochs import RingEpoch
 
-    def delete_many(self, keys: np.ndarray) -> None:
-        self._mutate(Opcode.BULK64_DELETE, keys)
-
-    def query_many(self, keys: np.ndarray) -> np.ndarray:
-        self._account(OpKind.QUERY, len(keys))
-        answers = np.zeros(len(keys), dtype=bool)
-        for group_name, where in self.ring.partition(keys).items():
-            self.routed_keys[(group_name, "query")] += len(where)
-            subset = keys[where]
-            try:
-                result = self._query_group(self._groups[group_name], subset)
-            except RemoteError as exc:
-                # MOVED: our ring is stale.  Refresh it from the nodes
-                # and re-route just this slice under the new epoch.
-                if exc.code != ErrorCode.MOVED or not self.refresh_epoch():
-                    raise
-                result = self.query_many(subset)
-            answers[where] = result
-        return answers
+        try:
+            _, blob = await self._client(node).call(Opcode.RING_EPOCH)
+            return RingEpoch.from_bytes(blob) if blob else None
+        except (OSError, RemoteError, ConfigurationError):
+            return None
 
     # -- routing ---------------------------------------------------------
-    def _account(self, kind: OpKind, count: int) -> None:
-        if count:
+    async def apply(self, op: Opcode, key_lists: list[np.ndarray]) -> list[object]:
+        """Route one coalesced batch; one result or exception per request.
+
+        The batch is fused and partitioned once.  A group's failure is
+        the result of every request that had a key in that group;
+        queries slice the fused answer column back per request.
+        """
+        if op not in _ROUTED:
+            exc = UnsupportedOperationError(f"{self.name} does not support counting")
+            return [exc for _ in key_lists]
+        keys = key_lists[0] if len(key_lists) == 1 else np.concatenate(key_lists)
+        if len(keys):
             self.stats.record(
-                kind, count=count, word_accesses=0.0,
-                hash_bits=64.0 * count, hash_calls=count,
+                _ROUTED[op][1], count=len(keys), word_accesses=0.0,
+                hash_bits=64.0 * len(keys), hash_calls=len(keys),
             )
+        answers = np.zeros(len(keys), dtype=bool)
+        errors = np.full(len(keys), None, dtype=object)
+        await self._route(op, keys, np.arange(len(keys)), answers, errors)
+        ends = np.cumsum([len(column) for column in key_lists])
+        if op == Opcode.BULK64_QUERY:
+            results = np.split(answers, ends[:-1])
+        else:
+            results = [None] * len(key_lists)
+        failed = np.flatnonzero(errors != None)  # noqa: E711 - elementwise
+        requests = np.searchsorted(ends, failed, side="right")
+        for request, first in zip(*np.unique(requests, return_index=True)):
+            results[request] = errors[failed[first]]
+        return results
 
-    def _mutate(self, opcode: Opcode, keys: np.ndarray) -> None:
-        insert = opcode == Opcode.BULK64_INSERT
-        kind = "insert" if insert else "delete"
-        self._account(OpKind.INSERT if insert else OpKind.DELETE, len(keys))
-        for group_name, where in self.ring.partition(keys).items():
-            self.routed_keys[(group_name, kind)] += len(where)
-            subset = keys[where]
-            clients = self._groups[group_name]
-            primary = clients.group.primary
-            if self.health is not None and not self.health.is_healthy(primary):
-                raise ClusterError(
-                    f"group {group_name!r}: primary {primary.address} is "
-                    f"unhealthy; writes have no failover target"
+    async def _route(self, op: Opcode, keys, where, answers, errors) -> None:
+        """Send ``keys`` (batch positions ``where``) by the current ring,
+        filling ``answers`` and ``errors`` at those positions."""
+        ring, breakers = self.ring, self._breakers
+        parts = ring.partition(keys)
+        for name, sub in parts.items():
+            self.routed_keys[(name, _ROUTED[op][0])] += len(sub)
+        await asyncio.gather(
+            *(
+                self._send_group(
+                    op, ring, breakers[name], name, keys[sub], where[sub],
+                    answers, errors,
                 )
-            breaker = self._breakers.get(group_name)
-            if breaker is not None:
-                # Raises OverloadedError locally while the group's write
-                # path is open — no packet reaches the drowning primary.
-                breaker.allow()
-            try:
-                client = clients.client(primary, timeout_s=self.timeout_s)
-                client.send_column(opcode, subset)
-            except RemoteError as exc:
-                if breaker is not None:
-                    if exc.code == ErrorCode.OVERLOADED:
-                        breaker.record_failure()
-                    else:
-                        breaker.record_success()  # answering = serving
-                # MOVED: re-route this slice under a refreshed ring.
-                # (WRONG_EPOCH — a fence mid-migration — is forwarded:
-                # the client owns that retry, with backoff.)
-                if exc.code == ErrorCode.MOVED and self.refresh_epoch():
-                    self._mutate(opcode, subset)
-                    continue
-                raise  # the filter's own error (e.g. underflow): forward
-            except (ConnectionError, OSError, TimeoutError) as exc:
-                if breaker is not None:
-                    breaker.record_failure()
-                clients.drop(primary)
-                raise ClusterError(
-                    f"group {group_name!r}: primary {primary.address} "
-                    f"unreachable for {kind}: {exc}"
-                ) from exc
-            else:
-                if breaker is not None:
-                    breaker.record_success()
+                for name, sub in parts.items()
+            )
+        )
 
-    def _query_group(self, clients: _GroupClients, subset: np.ndarray):
-        group = clients.group
+    async def _send_group(
+        self, op, ring, breaker, name, keys, where, answers, errors
+    ) -> None:
+        group = ring.groups[name]
+        try:
+            if op == Opcode.BULK64_QUERY:
+                answers[where] = await self._query_group(group, keys)
+            else:
+                await self._write_group(op, breaker, group, keys)
+        except RemoteError as exc:
+            # MOVED: the ring this slice was routed by is stale.  Once a
+            # newer one is installed (fetched here, or pushed while the
+            # slice was in flight), re-route just this slice by it.
+            # (WRONG_EPOCH — a fence mid-migration — is forwarded: the
+            # client owns that retry, with backoff.)
+            if exc.code == ErrorCode.MOVED and (
+                await self.refresh_epoch() or self.ring is not ring
+            ):
+                await self._route(op, keys, where, answers, errors)
+            else:
+                errors[where] = exc
+        except Exception as exc:  # noqa: BLE001 - the requests' result
+            errors[where] = exc
+
+    async def _write_group(self, op, breaker, group: ShardGroup, keys) -> None:
+        primary = group.primary
+        if self.health is not None and not self.health.is_healthy(primary):
+            raise ClusterError(
+                f"group {group.name!r}: primary {primary.address} is "
+                f"unhealthy; writes have no failover target"
+            )
+        # Raises OverloadedError locally while the group's write path is
+        # open — no packet reaches the drowning primary.
+        breaker.allow()
+        try:
+            await self._client(primary).send_column(op, keys)
+        except RemoteError as exc:
+            if exc.code == ErrorCode.OVERLOADED:
+                breaker.record_failure()
+            else:
+                breaker.record_success()  # answering = serving
+            raise  # the node's own error (e.g. underflow): forward
+        except OSError as exc:
+            breaker.record_failure()
+            raise ClusterError(
+                f"group {group.name!r}: primary {primary.address} "
+                f"unreachable for {_ROUTED[op][0]}: {exc}"
+            ) from exc
+        breaker.record_success()
+
+    async def _query_group(self, group: ShardGroup, keys) -> np.ndarray:
         candidates = [
             node
             for node in group.nodes
@@ -609,28 +606,28 @@ class RouterBackend:
         shed_by_primary = False
         for position, node in enumerate(candidates):
             try:
-                client = clients.client(node, timeout_s=self.timeout_s)
-                result = client.send_column(Opcode.BULK64_QUERY, subset)
-                if position > 0 or node is not group.primary:
-                    self.fallback_reads += len(subset)
-                    if shed_by_primary:
-                        self.overload_fallbacks += len(subset)
-                return result
+                result = await self._client(node).send_column(
+                    Opcode.BULK64_QUERY, keys
+                )
             except RemoteError as exc:
                 if exc.code == ErrorCode.OVERLOADED and position + 1 < len(
                     candidates
                 ):
                     # The primary shed this read; a replica can serve it
                     # (bounded staleness) — same move as a transport
-                    # failover, but the node is alive, so keep its
-                    # connection.
+                    # failover.
                     shed_by_primary = True
                     last_error = exc
                     continue
                 raise
-            except (ConnectionError, OSError, TimeoutError) as exc:
-                clients.drop(node)
+            except OSError as exc:
                 last_error = exc
+                continue
+            if position > 0 or node is not group.primary:
+                self.fallback_reads += len(keys)
+                if shed_by_primary:
+                    self.overload_fallbacks += len(keys)
+            return result
         raise ClusterError(
             f"group {group.name!r}: no node answered the query "
             f"({len(group.nodes)} tried): {last_error}"
@@ -649,22 +646,18 @@ class RouterBackend:
             return {}
         return self.health.status()
 
-    def node_status(self) -> dict[str, dict]:
-        """REPL_STATUS-backed view of every node (best effort)."""
-        out: dict[str, dict] = {}
-        for clients in self._groups.values():
-            for node in clients.group.nodes:
-                try:
-                    stats = clients.client(
-                        node, timeout_s=self.timeout_s
-                    ).stats()
-                    out[node.address] = stats.get(
-                        "cluster", {"role": "single"}
-                    )
-                except (ConnectionError, OSError, RemoteError) as exc:
-                    clients.drop(node)
-                    out[node.address] = {"error": str(exc)}
-        return out
+    async def node_status(self) -> dict[str, dict]:
+        """STATS-backed view of every node (best effort)."""
+        nodes = [node for group in self.ring.groups.values() for node in group.nodes]
+        reports = await asyncio.gather(*(self._node_report(node) for node in nodes))
+        return {node.address: report for node, report in zip(nodes, reports)}
+
+    async def _node_report(self, node: NodeAddress) -> dict:
+        try:
+            stats = await self._client(node).stats()
+        except (OSError, RemoteError) as exc:
+            return {"error": str(exc)}
+        return stats.get("cluster", {"role": "single"})
 
     def describe(self) -> dict:
         return {
@@ -674,12 +667,10 @@ class RouterBackend:
             ),
             "groups": {
                 name: {
-                    "primary": clients.group.primary.address,
-                    "replicas": [
-                        node.address for node in clients.group.replicas
-                    ],
+                    "primary": group.primary.address,
+                    "replicas": [node.address for node in group.replicas],
                 }
-                for name, clients in self._groups.items()
+                for name, group in self.ring.groups.items()
             },
             "fallback_reads": self.fallback_reads,
             "overload_fallbacks": self.overload_fallbacks,
@@ -694,16 +685,7 @@ class RouterBackend:
             },
         }
 
-    def close(self) -> None:
-        for clients in self._groups.values():
-            clients.close()
-
-
-def _json_default(value):
-    return str(value)
-
-
-def format_status(backend: RouterBackend) -> str:
-    """Human-oriented JSON dump used by ``repro cluster status``."""
-    payload = {"router": backend.describe(), "nodes": backend.node_status()}
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    async def close(self) -> None:
+        for client in self._clients.values():
+            await client.close()
+        self._clients.clear()

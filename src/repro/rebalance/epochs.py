@@ -36,7 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.router import HashRing, NodeAddress, ShardGroup, hash_key
+from repro.cluster.router import (
+    HashRing,
+    NodeAddress,
+    ShardGroup,
+    hash_key,
+    ring_positions,
+)
 from repro.errors import ClusterError, ConfigurationError
 from repro.service.storage import REAL_STORAGE
 
@@ -48,6 +54,7 @@ __all__ = [
     "Move",
     "compute_moves",
     "hash_key",
+    "ring_positions",
 ]
 
 #: Epoch trailer magic: payload | b"MPEP" | u32 crc32(payload + magic).
@@ -265,12 +272,14 @@ class KeyRange:
     start: int
     end: int
 
-    def contains(self, position: int) -> bool:
+    def contains(self, position):
+        """Membership of a position (an int, or a uint64 column
+        elementwise)."""
         if self.start < self.end:
-            return self.start <= position < self.end
+            return (position >= self.start) & (position < self.end)
         if self.start > self.end:
-            return position >= self.start or position < self.end
-        return True
+            return (position >= self.start) | (position < self.end)
+        return position >= 0  # the whole ring
 
     def span(self) -> int:
         """Arc length in hash units (full ring when start == end)."""
@@ -289,14 +298,16 @@ class KeyRangeSet:
     def contains(self, position: int) -> bool:
         return any(r.contains(position) for r in self.ranges)
 
+    def mask(self, positions: np.ndarray) -> np.ndarray:
+        """:meth:`contains` over a column of ring positions."""
+        inside = np.zeros(len(positions), dtype=bool)
+        for r in self.ranges:
+            inside |= r.contains(positions)
+        return inside
+
     def select(self, keys: np.ndarray) -> np.ndarray:
         """The wire keys of ``keys`` whose ring position is in the set."""
-        mask = np.fromiter(
-            (self.contains(hash_key(key)) for key in keys.tolist()),
-            dtype=bool,
-            count=len(keys),
-        )
-        return keys[mask]
+        return keys[self.mask(ring_positions(keys))]
 
     def span(self) -> int:
         return sum(r.span() for r in self.ranges)

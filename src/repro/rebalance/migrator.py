@@ -57,7 +57,7 @@ from repro.errors import (
 )
 from repro.observability.logging import get_logger
 from repro.observability.spans import spanned
-from repro.rebalance.epochs import KeyRangeSet, RingEpoch, hash_key
+from repro.rebalance.epochs import KeyRangeSet, RingEpoch, ring_positions
 from repro.service.batching import apply_record
 from repro.service.protocol import (
     Opcode,
@@ -178,6 +178,7 @@ class RebalanceState:
             "keys_applied": 0,
             "keys_skipped": 0,
             "keys_excised": 0,
+            "keys_excise_skipped": 0,
             "fences": 0,
             "commits": 0,
             "moved_rejections": 0,
@@ -239,33 +240,22 @@ class RebalanceState:
         """
         if self.epoch is None or self.group is None:
             return
-        ring = self.epoch.ring()
-        keys = keys.tolist()
+        positions = ring_positions(keys)
+        if not self.epoch.ring().owned_by(self.group, positions).all():
+            self.counters["moved_rejections"] += 1
+            raise MovedError(
+                f"key moved off group {self.group!r} "
+                f"(ring epoch v{self.epoch.version})"
+            )
         if op not in _MUTATIONS:
-            for key in keys:
-                if ring.owner_at(hash_key(key)) != self.group:
-                    self.counters["moved_rejections"] += 1
-                    raise MovedError(
-                        f"key moved off group {self.group!r} "
-                        f"(ring epoch v{self.epoch.version})"
-                    )
             return
-        fenced = [s for s in self._outgoing.values() if s.fenced]
-        for key in keys:
-            position = hash_key(key)
-            if ring.owner_at(position) != self.group:
-                self.counters["moved_rejections"] += 1
-                raise MovedError(
-                    f"key moved off group {self.group!r} "
-                    f"(ring epoch v{self.epoch.version})"
+        for session in self._outgoing.values():
+            if session.fenced and session.ranges.mask(positions).any():
+                self.counters["wrong_epoch_rejections"] += 1
+                raise WrongEpochError(
+                    f"key range is fenced by migration {session.plan!r}; "
+                    f"retry after the epoch bump"
                 )
-            for session in fenced:
-                if session.ranges.contains(position):
-                    self.counters["wrong_epoch_rejections"] += 1
-                    raise WrongEpochError(
-                        f"key range is fenced by migration {session.plan!r}; "
-                        f"retry after the epoch bump"
-                    )
 
     # -- epoch installs --------------------------------------------------
     def install_epoch(self, group: str, blob: bytes) -> dict:
@@ -434,7 +424,8 @@ class RebalanceState:
         Replays history up to ``through``, applying the per-key inverse
         of every in-range application and logging each inversion as a
         ``<plan>:x`` migration record — so crash-recovery replay and a
-        re-driven commit both converge on the same counters.
+        re-driven commit both converge on the same counters.  Inverses
+        the filter rejects are counted in ``keys_excise_skipped``.
         """
         marker = plan + ":x"
         done_through = 0
@@ -457,11 +448,15 @@ class RebalanceState:
                 if _record_insert_like(record.op)
                 else Opcode.MIG_INSERT64
             )
-            self._log_and_apply(
+            # A skipped inverse (say, a delete from a saturated word)
+            # leaves that key's increments on this node; the count makes
+            # the counter-error regime visible in the commit reply.
+            skipped = self._log_and_apply(
                 inverse_op, keys, encode_mig_header(record.seq, marker)
             )
             excised += len(keys)
             self.counters["keys_excised"] += len(keys)
+            self.counters["keys_excise_skipped"] += skipped
         return excised
 
     def _log_and_apply(self, op: Opcode, keys: np.ndarray, header: bytes) -> int:

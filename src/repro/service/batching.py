@@ -16,8 +16,8 @@ Every request carries one column of pre-encoded ``uint64`` wire keys
 Ordering: batches dispatch strictly in arrival order and a batch only
 contains consecutive same-operation requests, so a client that awaits
 its insert response before sending a query always observes the insert.
-All filter access happens on the event loop's thread, and a dispatch
-never spans an ``await``, so the hosted filter needs no locks.
+All filter access happens on the event loop's thread, and a local
+filter's dispatch never spans an ``await``, so it needs no locks.
 
 Error isolation: the dispatch function receives the batch still split
 per request and returns one result *or exception* per request, so one
@@ -29,8 +29,8 @@ neighbours in the same coalesced batch (see
 from __future__ import annotations
 
 import asyncio
+import inspect
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,7 +92,9 @@ def apply_record(filt, record: WalRecord) -> int:
     because the primary logged it and then hit the same error against
     the same state.  A migration record (``MIG_*64``) applies key by
     key, so a per-key counter error skips that key alone — on the
-    primary, on every replica and on every replay.
+    primary, on every replica and on every replay.  A delete the filter
+    records as a no-op (it touched a saturated word, see
+    ``skipped_deletes``) counts as a skip too.
     """
     mutate = (
         filt.insert_many if record.op in _INSERT_RECORDS else filt.delete_many
@@ -104,10 +106,13 @@ def apply_record(filt, record: WalRecord) -> int:
         columns = [keys[i : i + 1] for i in range(len(keys))]
     failures = 0
     for column in columns:
+        skipped = getattr(filt, "skipped_deletes", 0)
         try:
             mutate(column)
         except ReproError:
             failures += 1
+            continue
+        failures += getattr(filt, "skipped_deletes", 0) != skipped
     return failures
 
 
@@ -293,8 +298,11 @@ class MicroBatcher:
     Parameters
     ----------
     apply:
-        ``apply(op, key_lists) -> list[result | Exception]``, called
-        inline on the event loop's thread (see :class:`FilterExecutor`).
+        ``apply(op, key_lists) -> list[result | Exception]``, called on
+        the event loop's thread (see :class:`FilterExecutor`).  An
+        ``apply`` that returns an awaitable (the cluster router's async
+        fan-out) is awaited; the drain loop still dispatches one batch
+        at a time.
     max_batch:
         Key-count bound per dispatched batch; a batch closes as soon as
         it holds this many keys.
@@ -309,11 +317,6 @@ class MicroBatcher:
         the throughput benchmark compares against.
     metrics:
         Optional :class:`ServiceMetrics` receiving batch-size samples.
-    worker_thread:
-        Run ``apply`` and :meth:`run` on one private worker thread
-        instead of inline.  Only for a backend whose calls block on
-        sockets that this same event loop may serve (the cluster
-        router's fan-out): inline, such a call would deadlock the loop.
     """
 
     def __init__(
@@ -323,7 +326,6 @@ class MicroBatcher:
         max_batch: int = 512,
         max_delay_us: float = 200.0,
         metrics: ServiceMetrics | None = None,
-        worker_thread: bool = False,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -336,11 +338,6 @@ class MicroBatcher:
         self._queue: asyncio.Queue = asyncio.Queue()
         self._carry: _Pending | None = None
         self._task: asyncio.Task | None = None
-        self._executor = (
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-filter")
-            if worker_thread
-            else None
-        )
         self._stopping = False
 
     # -- lifecycle ------------------------------------------------------
@@ -351,15 +348,13 @@ class MicroBatcher:
             self._task = asyncio.get_running_loop().create_task(self._drain())
 
     async def stop(self) -> None:
-        """Drain everything queued, then stop the worker thread, if any."""
+        """Drain everything queued, then stop."""
         if self._task is None:
             return
         self._stopping = True
         await self._queue.put(_Stop())
         await self._task
         self._task = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
 
     def abort(self) -> None:
         """Crash-stop: cancel the drain task and drop queued work."""
@@ -367,8 +362,6 @@ class MicroBatcher:
         if self._task is not None:
             self._task.cancel()
             self._task = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
 
     # -- submission -----------------------------------------------------
     async def submit(
@@ -411,13 +404,12 @@ class MicroBatcher:
         """Run ``fn`` where batches run, never inside one — how
         STATS/SNAPSHOT reads avoid racing mutations.
 
-        Inline, ``fn`` runs now: no batch is mid-apply at any ``await``,
-        and ``fn`` sees every write already answered.
+        ``fn`` runs now: a synchronous apply is never mid-batch at an
+        ``await``, so ``fn`` sees every write already answered.  (An
+        async apply — the router's fan-out — may be between its awaits;
+        the router keeps no state such a read could tear.)
         """
-        if self._executor is None:
-            return fn()
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, fn)
+        return fn()
 
     # -- drain loop -----------------------------------------------------
     #: Consecutive empty-queue event-loop yields the gather loop grants
@@ -540,7 +532,9 @@ class MicroBatcher:
         key_lists = [pending.keys for pending in batch]
         try:
             with span("filter_execute", self.metrics):
-                results = await self.run(lambda: self._apply(op, key_lists))
+                results = self._apply(op, key_lists)
+                if inspect.isawaitable(results):
+                    results = await results
         except BaseException as exc:  # noqa: BLE001 - forwarded per future
             results = [exc for _ in batch]
         for pending, result in zip(batch, results):

@@ -15,8 +15,8 @@ funnel through one :class:`~repro.service.batching.MicroBatcher`, so
 concurrency across connections is precisely what feeds the coalescer.
 Control ops (PING/STATS/SNAPSHOT) bypass the batch queue; reads of
 filter state go through ``batcher.run``, between batches.  Everything
-runs on the event loop's thread; only a backend that declares
-``needs_worker_thread`` (the cluster router) gets one worker thread.
+runs on the event loop's thread; a hosted cluster router fans each
+batch out with an async ``apply`` on the same loop.
 
 Shutdown is graceful by design: ``stop()`` (wired to SIGTERM/SIGINT by
 :func:`serve`) stops accepting, lets in-flight requests drain through
@@ -147,9 +147,10 @@ class FilterServer:
         accepts in-memory simulated connections instead of binding a
         socket.
 
-    A backend class with a true ``needs_worker_thread`` attribute (the
-    cluster router) is driven from one worker thread; every other
-    filter runs inline on the event loop's thread.
+    Every batch runs on the event loop's thread.  A backend with its
+    own async ``apply`` (the cluster router) takes each coalesced batch
+    whole; every other filter is applied inline by a
+    :class:`~repro.service.batching.FilterExecutor`.
     """
 
     def __init__(
@@ -201,11 +202,10 @@ class FilterServer:
             gate=None if rebalance is None else rebalance.gate,
         )
         self.batcher = MicroBatcher(
-            self.executor.apply,
+            getattr(filt, "apply", self.executor.apply),
             max_batch=max_batch,
             max_delay_us=max_delay_us,
             metrics=self.metrics,
-            worker_thread=getattr(type(filt), "needs_worker_thread", False),
         )
         if snapshot_manager is not None:
             self.snapshots = snapshot_manager

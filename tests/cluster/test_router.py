@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.cluster.cluster_client import ClusterClient
 from repro.cluster.router import (
     HashRing,
+    HealthChecker,
     NodeAddress,
     RouterBackend,
     ShardGroup,
@@ -17,7 +19,14 @@ from repro.cluster.router import (
 )
 from repro.errors import ClusterError, ConfigurationError
 from repro.filters.factory import FilterSpec, build_filter
+from repro.rebalance.epochs import RingEpoch
 from repro.service.client import AsyncFilterClient, wire_keys
+from repro.service.protocol import (
+    ErrorCode,
+    Opcode,
+    RemoteError,
+    encode_ring_epoch_set,
+)
 from repro.service.server import FilterServer
 
 
@@ -170,9 +179,9 @@ class TestRouterFanout:
                     found = await asyncio.to_thread(cluster.query_many, keys)
                     assert int(sum(found)) == len(keys)
             finally:
-                cluster.close()
+                await asyncio.to_thread(cluster.close)
             await router.stop()
-            backend.close()
+            await backend.close()
             await node_a.stop()
             await node_b.stop()
 
@@ -215,7 +224,7 @@ class TestRouterFanout:
                     await client.insert(b"new-key")
                 assert excinfo.value.code.name == "CLUSTER"
             await router.stop()
-            backend.close()
+            await backend.close()
             await replica.stop()
 
         asyncio.run(main())
@@ -286,3 +295,157 @@ class TestClusterClient:
             with pytest.raises(ClusterError, match="unreachable"):
                 client._with_retry(dead_then_breaker_open)
             assert len(attempts) == 3
+
+
+class FakeNode:
+    """A shard node stand-in; with a ``gate`` it holds every call open
+    until the gate is set, then answers ``answer`` ("ok" or "moved")."""
+
+    def __init__(self, gate: asyncio.Event | None = None, answer: str = "ok"):
+        self.gate = gate
+        self.answer = answer
+        self.held = asyncio.Event()
+        self.keys: list[int] = []
+
+    async def send_column(self, opcode, keys):
+        if self.gate is not None:
+            self.held.set()
+            await self.gate.wait()
+            if self.answer == "moved":
+                raise RemoteError(ErrorCode.MOVED, "key range moved")
+        self.keys.extend(keys.tolist())
+        if opcode == Opcode.BULK64_QUERY:
+            return np.ones(len(keys), dtype=bool)
+        return None
+
+    async def call(self, opcode, body=b""):
+        return Opcode.RING_EPOCH, b""
+
+    async def close(self):
+        pass
+
+
+class TestEpochInstallMidFanout:
+    @pytest.mark.parametrize("answer", ["ok", "moved"])
+    def test_draining_a_group_mid_fanout(self, answer):
+        """An epoch that drains ``g1`` lands while a fan-out to ``g1`` is
+        held open: every in-flight request still gets a result or a
+        retryable CLUSTER error, never a KeyError or INTERNAL."""
+
+        async def main():
+            gate = asyncio.Event()
+            nodes = {1: FakeNode(), 2: FakeNode(gate, answer)}
+            epoch1 = RingEpoch(
+                version=1,
+                vnodes=16,
+                groups=(
+                    ShardGroup("g0", NodeAddress("127.0.0.1", 1)),
+                    ShardGroup("g1", NodeAddress("127.0.0.1", 2)),
+                ),
+            )
+            backend = RouterBackend(
+                epoch1.ring(),
+                client_factory=lambda node, timeout_s: nodes[node.port],
+            )
+            router = FilterServer(backend)
+            await router.start()
+            keys = [b"race-%d" % i for i in range(64)]
+            owners = epoch1.ring().partition(wire_keys(keys))
+            assert set(owners) == {"g0", "g1"}
+
+            async def request(op):
+                async with AsyncFilterClient(port=router.port) as client:
+                    if op == "insert":
+                        return await client.insert_many(keys)
+                    return await client.query_many(keys)
+
+            in_flight = [
+                asyncio.create_task(request(op)) for op in ("insert", "query")
+            ]
+            await asyncio.wait_for(nodes[2].held.wait(), 5)
+            epoch2 = epoch1.without_group("g1")
+            async with AsyncFilterClient(port=router.port) as admin:
+                await admin.call(
+                    Opcode.RING_EPOCH,
+                    encode_ring_epoch_set("", epoch2.to_bytes()),
+                )
+            assert sorted(backend.ring.groups) == ["g0"]
+            gate.set()
+            results = await asyncio.gather(*in_flight, return_exceptions=True)
+            for result in results:
+                if isinstance(result, BaseException):
+                    assert isinstance(result, RemoteError), result
+                    assert result.code == ErrorCode.CLUSTER, result
+            assert results[0] is None  # the insert was acked
+            assert all(results[1])
+            if answer == "moved":
+                # The held slice re-routed to g0 under the new ring.
+                g1_keys = set(wire_keys(keys)[owners["g1"]].tolist())
+                assert g1_keys <= set(nodes[1].keys)
+            await router.stop()
+            await backend.close()
+
+        asyncio.run(main())
+
+
+class TestHealthLoop:
+    def test_draining_primary_sends_reads_to_the_replica(self):
+        """While the primary's ``/healthz`` answers 503 (draining), reads
+        go to the replica and writes fail with CLUSTER; once it answers
+        200 again, routing returns to the primary."""
+
+        async def main():
+            primary = await start_node(build(5), metrics_port=0)
+            replica = await start_node(build(5), metrics_port=0)
+            members = [b"hl-%d" % i for i in range(100)]
+            for node in (primary, replica):
+                async with AsyncFilterClient(port=node.port) as client:
+                    await client.insert_many(members)
+            primary_node = NodeAddress(
+                "127.0.0.1", primary.port, primary.metrics_port
+            )
+            group = ShardGroup(
+                "g",
+                primary_node,
+                (NodeAddress("127.0.0.1", replica.port, replica.metrics_port),),
+            )
+            health = HealthChecker(list(group.nodes), interval_s=0.02)
+            backend = RouterBackend(HashRing([group], vnodes=8), health=health)
+            router = FilterServer(backend)
+            await router.start()
+            health.start()
+
+            async def until(healthy: bool) -> None:
+                for _ in range(250):
+                    if health.is_healthy(primary_node) == healthy:
+                        return
+                    await asyncio.sleep(0.02)
+                raise AssertionError(f"health never became {healthy}")
+
+            try:
+                async with AsyncFilterClient(port=router.port) as client:
+                    primary._draining = True  # /healthz now answers 503
+                    await until(False)
+                    assert all(await client.query_many(members))
+                    assert backend.fallback_reads == len(members)
+                    with pytest.raises(RemoteError) as excinfo:
+                        await client.insert(b"during-drain")
+                    assert excinfo.value.code == ErrorCode.CLUSTER
+                    metrics = router._render_metrics()
+                    assert (
+                        f'repro_node_healthy{{node="{primary_node.address}"}} 0'
+                        in metrics
+                    )
+                    primary._draining = False
+                    await until(True)
+                    assert all(await client.query_many(members))
+                    assert backend.fallback_reads == len(members)
+                    await client.insert(b"after-drain")
+            finally:
+                await health.stop()
+                await router.stop()
+                await backend.close()
+                await primary.stop()
+                await replica.stop()
+
+        asyncio.run(main())

@@ -17,6 +17,7 @@ from repro.cluster.wal import WriteAheadLog
 from repro.errors import ClusterError, MovedError, WrongEpochError
 from repro.filters.factory import FilterSpec, build_filter
 from repro.rebalance.epochs import (
+    KeyRange,
     KeyRangeSet,
     RingEpoch,
     compute_moves,
@@ -243,6 +244,51 @@ class TestGate:
         )
         with pytest.raises(WrongEpochError):
             reborn.gate(Opcode.BULK64_INSERT, col([mine]))
+
+
+class TestExcisionSkips:
+    def test_excision_into_a_saturated_word_is_reported(self, tmp_path):
+        # Two words and 200 keys: inserts saturate them, so the
+        # excision's per-key deletes become recorded no-ops.  Byte
+        # identity cannot hold there; the skip count says so.
+        from repro.observability.prometheus import render_metrics
+        from repro.service.metrics import ServiceMetrics
+
+        filt = build_filter(
+            FilterSpec(
+                variant="MPCBF-1",
+                memory_bits=64 * 2,
+                k=3,
+                capacity=8,
+                seed=5,
+                extra={"word_overflow": "saturate"},
+            )
+        )
+        state = RebalanceState(
+            filt,
+            wal=WriteAheadLog(tmp_path / "wal", fsync="never"),
+            group="a",
+        )
+        keys = wire(b"sat-%d", 200)
+        write(state, Opcode.BULK64_INSERT, keys)
+        assert filt.overflow_events > 0
+        epoch = RingEpoch(version=2, vnodes=4, groups=(make_group("a", 7801),))
+        report = state.commit_source(
+            "p",
+            "a",
+            epoch.to_bytes(),
+            ranges=KeyRangeSet([KeyRange(0, 0)]),
+            excise_through=state.wal.last_seq,
+        )
+        skipped = report["counters"]["keys_excise_skipped"]
+        assert 0 < skipped <= len(keys)
+        assert report["counters"]["keys_excised"] == len(keys)
+        text = render_metrics(ServiceMetrics(), rebalance=state)
+        assert (
+            f'repro_rebalance_events_total{{event="keys_excise_skipped"}} '
+            f"{skipped}" in text
+        )
+        state.wal.close()
 
 
 class TestSourcePreconditions:
